@@ -98,7 +98,7 @@ EXCHANGE_COMPRESS = Hook(codec_module, "compress")
 EXCHANGE_DECOMPRESS = Hook(codec_module, "decompress")
 CRC32 = Hook(zlib, "crc32", nbytes=_crc_input_size)
 
-#: The ``generate_*_dataset`` calls, as bound where ``build_stack`` looks them up.
+#: The ``generate_*_dataset`` calls, as bound where ``run.upload`` looks them up.
 GENERATE = tuple(
     Hook(run_tpch_experiments, f"generate_{relation}_dataset")
     for relation in (

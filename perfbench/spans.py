@@ -31,7 +31,6 @@ class Span:
     start: float
     end: float
     parent: Optional[int]
-    query: int
 
 
 def fold_self_times(spans: Iterable[Span]) -> Dict[str, float]:
@@ -48,14 +47,10 @@ def fold_self_times(spans: Iterable[Span]) -> Dict[str, float]:
 
 
 class Tracer:
-    """Records spans, call counts and byte counts of wrapped functions.
-
-    Spans opened while ``query`` holds one value belong to the same query.
-    """
+    """Records spans, call counts and byte counts of wrapped functions."""
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self.clock = clock
-        self.query = 0
         self.spans: List[Span] = []
         self.calls: Dict[str, int] = defaultdict(int)
         self.bytes: Dict[str, int] = defaultdict(int)
@@ -71,7 +66,7 @@ class Tracer:
     def begin(self, name: str) -> int:
         """Open a span and return its index."""
         parent = self._stack[-1] if self._stack else None
-        self.spans.append(Span(name, self.clock(), 0.0, parent, self.query))
+        self.spans.append(Span(name, self.clock(), 0.0, parent))
         index = len(self.spans) - 1
         self._stack.append(index)
         self.calls[name] += 1

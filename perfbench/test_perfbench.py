@@ -1,4 +1,4 @@
-"""Unit tests of the benchmark's span recording and self-time fold.
+"""Unit tests of the benchmark's span recording, self-time fold and verdict.
 
 Run with ``python -m pytest perfbench`` from the repository root.
 """
@@ -9,6 +9,7 @@ import json
 import sys
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,10 +34,10 @@ class FakeClock:
 
 def test_fold_subtracts_direct_children_only():
     spans = [
-        Span("root", 0.0, 10.0, None, 0),
-        Span("a", 1.0, 6.0, 0, 0),
-        Span("b", 2.0, 5.0, 1, 0),
-        Span("a", 7.0, 9.0, 0, 0),
+        Span("root", 0.0, 10.0, None),
+        Span("a", 1.0, 6.0, 0),
+        Span("b", 2.0, 5.0, 1),
+        Span("a", 7.0, 9.0, 0),
     ]
     assert fold_self_times(spans) == {"root": 3.0, "a": 4.0, "b": 3.0}
 
@@ -147,3 +148,47 @@ def test_benchmark_json_lists_exactly_the_emitted_metrics():
     assert {m["name"]: m["unit"] for m in spec["per_layer"]} == {
         name: layers.unit_of(name) for name in per_layer
     }
+
+
+class FakeSession:
+    """Answers every query with ``ANSWER`` except those named in ``failing``."""
+
+    ANSWER = {"value": [1.0]}
+
+    def __init__(self, failing):
+        self.failing = failing
+        self.env = SimpleNamespace(install_fault_plan=lambda plan: None)
+
+    def sql(self, text, **kwargs):
+        import workloads
+
+        if any(text == workloads.SQL[name] for name in self.failing):
+            raise RuntimeError("worker gave up")
+        stats = SimpleNamespace(latency_seconds=1.0, cost_total=1e-4)
+        return SimpleNamespace(table=self.ANSWER, statistics=stats)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("failing, code", [((), 0), (("q6",), 1)])
+def test_a_query_that_raises_fails_the_run(monkeypatch, capsys, failing, code):
+    import run
+    import workloads
+
+    workload = workloads.Workload(
+        name="fake", why="two queries", scale_factor=0.001, files=1,
+        cycle=("q1", "q6"), expected=(),
+    )
+    monkeypatch.setitem(workloads.WORKLOADS, "fake", workload)
+    monkeypatch.setattr(run, "MIN_QUERIES", 4)
+    monkeypatch.setattr(run, "set_up", lambda *args: (FakeSession(failing), {}))
+    monkeypatch.setattr(
+        run, "references_for",
+        lambda *args: {name: FakeSession.ANSWER for name in workload.queries},
+    )
+    assert run.main(["--workload", "fake", "--seed", "1", "--seconds", "0"]) == code
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["correct"] is (code == 0)
+    assert result["attempted"] == 4
+    assert result["failed"] == 2 * len(failing)

@@ -34,7 +34,7 @@ class Workload:
     name: str
     why: str
     scale_factor: float
-    #: LINEITEM file count (``build_stack`` gives ORDERS half as many).
+    #: LINEITEM file count (``run.upload`` gives ORDERS half as many).
     files: int
     cycle: Tuple[str, ...]
     #: Hooks the traced run must see called at least once.
