@@ -62,7 +62,7 @@ def main() -> None:
           f"({exchange.combined_put_requests} combined)")
     print(f"  exchange GETs:          {exchange.get_requests}")
     print(f"  discovery LIST/HEAD:    {exchange.list_requests + exchange.head_requests}")
-    print(f"  gc'd intermediates:     {stats.gc_objects_deleted}")
+    print(f"  gc'd exchange objects:  {stats.gc_objects_deleted}")
     print(f"  modelled latency:       {stats.latency_seconds:.2f} s")
     print(f"  modelled cost:          {stats.cost_total * 100:.4f} cents")
 

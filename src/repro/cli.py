@@ -209,7 +209,7 @@ def _run_demo_query(args: argparse.Namespace, out) -> int:
     if stats.dag_stages > 1:
         print(f"join DAG: {stats.dag_stages} stages   "
               f"exchange discovery requests: {stats.exchange.list_requests + stats.exchange.head_requests}   "
-              f"gc'd intermediates: {stats.gc_objects_deleted}", file=out)
+              f"gc'd exchange objects: {stats.gc_objects_deleted}", file=out)
     print("cost breakdown:", file=out)
     print(f"  lambda duration  ${stats.cost_lambda_duration:.6f}", file=out)
     print(f"  lambda requests  ${stats.cost_lambda_requests:.6f}", file=out)

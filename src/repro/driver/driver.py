@@ -11,7 +11,6 @@ which the evaluation benchmarks consume.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import random
@@ -20,13 +19,13 @@ import uuid
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig
-from repro.cloud.s3 import SharedObjectExport, parse_s3_path
+from repro.cloud.s3 import SharedObjectExport
 from repro.config import DEFAULT_RESILIENCE, IntegrityConfig
 from repro.driver.admission import (
     AdmissionConfig,
@@ -35,8 +34,16 @@ from repro.driver.admission import (
     CancellationToken,
 )
 from repro.driver.breakers import BreakerBoard, RetryBudget
-from repro.driver.integrity import IntegrityStats, message_intact
+from repro.driver.integrity import IntegrityStats
 from repro.driver.invocation import TreeInvocationModel, build_invocation_tree
+from repro.driver.messages import (
+    expand_paths,
+    fault_delta,
+    fault_snapshot,
+    fetch_spilled,
+    merge_attempt,
+    parse_message,
+)
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
     TRANSIENT_CLOUD_ERRORS,
@@ -67,7 +74,6 @@ from repro.engine.table import (
 from repro.errors import (
     CloudError,
     ExecutionError,
-    IntegrityError,
     QueryCancelledError,
     QueryTimeoutError,
     RetryBudgetExhaustedError,
@@ -127,8 +133,8 @@ class QueryStatistics:
     #: ``len(dag.stages)`` for an N-way join DAG; 1 for scan queries too,
     #: where no join wave exists but the field keeps a uniform meaning).
     dag_stages: int = 1
-    #: Intermediate exchange objects deleted by the coordinator's per-stage
-    #: and end-of-query garbage collection (0 for scan and binary joins).
+    #: Exchange objects deleted by the coordinator's per-stage and
+    #: end-of-query garbage collection (0 for scan queries).
     gc_objects_deleted: int = 0
     #: Fault-tolerance counters for this query: retries, hedges won/lost,
     #: injected faults survived, degradation fallbacks, wasted modelled cost.
@@ -381,7 +387,7 @@ class LambadaDriver:
                 cancel=cancel,
             )
 
-        input_files = self._expand_paths(physical.input_files)
+        input_files = expand_paths(self.env.s3, physical.input_files)
         if catalog is not None and dataset_name is not None:
             input_files = catalog.prune_paths(
                 input_files, dataset_name, physical.worker_template.prune_ranges
@@ -429,7 +435,7 @@ class LambadaDriver:
 
         resilience = ResilienceStats()
         integrity_stats = IntegrityStats()
-        fault_snapshot = self._fault_snapshot()
+        snapshot = fault_snapshot(self.env)
 
         def now_fn() -> float:
             # Modelled "now" for breaker windows and deadlines: environment
@@ -450,7 +456,7 @@ class LambadaDriver:
             if self.execution_mode == "processes" and self._pool_supported(physical):
                 pooled = self._execute_pooled(
                     physical, payloads, report, cold, max_worker_retries,
-                    resilience, fault_snapshot,
+                    resilience, snapshot,
                 )
                 if pooled is not None:
                     return pooled
@@ -490,7 +496,7 @@ class LambadaDriver:
             table, reduce_value = self._merge(physical, worker_results)
             statistics = self._build_statistics(
                 physical, worker_results, num_workers=len(payloads), cold=cold,
-                resilience=resilience, fault_snapshot=fault_snapshot,
+                resilience=resilience, fault_snapshot=snapshot,
                 extra_billed_seconds=hedge_billed_seconds,
                 integrity=integrity_stats,
             )
@@ -1042,26 +1048,6 @@ class LambadaDriver:
             for future in futures:
                 future.result()
 
-    def _expand_paths(self, paths: Sequence[str]) -> List[str]:
-        """Expand glob patterns against the object store.
-
-        Globs over missing buckets expand to nothing (the caller then reports
-        "no input files"), mirroring how a CLI glob over a missing directory
-        behaves.
-        """
-        from repro.errors import NoSuchBucketError
-
-        expanded: List[str] = []
-        for path in paths:
-            if "*" in path:
-                try:
-                    expanded.extend(self.env.s3.glob(path))
-                except NoSuchBucketError:
-                    continue
-            else:
-                expanded.append(path)
-        return expanded
-
     #: Worker-reported error prefixes that mean the invocation plane itself
     #: failed (vs. a data error inside a healthy worker).
     _LAMBDA_FAILURE_PREFIXES = (
@@ -1120,23 +1106,6 @@ class LambadaDriver:
                 continue
         return deleted
 
-    def _fault_snapshot(self) -> Optional[Dict[str, int]]:
-        """Per-kind injection counts of the installed fault plan, or ``None``."""
-        plan = getattr(self.env, "fault_plan", None)
-        if plan is None:
-            return None
-        return plan.to_dict()
-
-    def _fault_delta(self, snapshot: Optional[Dict[str, int]]) -> Dict[str, int]:
-        """Faults injected since ``snapshot`` (the plan outlives single queries)."""
-        if snapshot is None:
-            return {}
-        current = self._fault_snapshot() or {}
-        delta = {
-            kind: count - snapshot.get(kind, 0) for kind, count in current.items()
-        }
-        return {kind: count for kind, count in delta.items() if count > 0}
-
     def _collect_messages(
         self,
         query_id: str,
@@ -1154,11 +1123,8 @@ class LambadaDriver:
         ``raise_on_timeout=False`` — returns what arrived so the caller can
         retry the workers that never reported (dropped invocations, crashes).
 
-        Messages that fail to parse or whose content digest mismatches
-        (payload corrupted on the queue) are dropped and counted into
-        ``integrity``; the retry machinery then re-invokes the
-        silently-missing worker, so a corrupt message can never contribute
-        rows to the result.
+        Corrupt messages are dropped and counted into ``integrity`` (see
+        :func:`~repro.driver.messages.parse_message`).
         """
         verify = self.integrity.verify
         messages: List[Dict] = []
@@ -1173,24 +1139,9 @@ class LambadaDriver:
                 cancel.check("collect")
             batch = self.env.sqs.receive_messages(self.result_queue, max_messages=10)
             for message in batch:
-                try:
-                    payload = message.json()
-                    if not isinstance(payload, dict):
-                        raise ValueError("result message is not an object")
-                except ValueError:
-                    # Corrupted beyond JSON: the producing worker looks
-                    # missing and the retry loop re-invokes it.
-                    if integrity is not None:
-                        integrity.note_mismatch("sqs.parse")
-                        integrity.re_executions += 1
-                    continue
-                if verify and not message_intact(payload):
-                    if integrity is not None:
-                        integrity.note_mismatch("sqs.digest")
-                        integrity.re_executions += 1
-                    continue
-                if payload.get("query_id") != query_id:
-                    continue  # stale message from an earlier query
+                payload = parse_message(message, verify, integrity)
+                if payload is None or payload.get("query_id") != query_id:
+                    continue  # corrupt, or stale from an earlier query
                 messages.append(payload)
                 worker_id = payload.get("worker_id")
                 if want is None or worker_id in want:
@@ -1203,36 +1154,6 @@ class LambadaDriver:
             )
         return messages
 
-    @staticmethod
-    def _merge_message(
-        by_worker: Dict[int, Dict],
-        message: Dict,
-        resilience: Optional[ResilienceStats] = None,
-    ) -> None:
-        """Fold one result message into ``by_worker`` with attempt dedup.
-
-        Higher attempts win; at the same attempt an ok beats an error (and
-        anything else is a duplicate delivery).  A late or re-delivered
-        message from an earlier attempt can therefore never clobber a
-        successful retry.
-        """
-        worker_id = message["worker_id"]
-        attempt = message.get("attempt", 0)
-        current = by_worker.get(worker_id)
-        if current is None:
-            by_worker[worker_id] = message
-            return
-        current_attempt = current.get("attempt", 0)
-        if attempt > current_attempt:
-            by_worker[worker_id] = message
-        elif attempt < current_attempt:
-            if resilience is not None:
-                resilience.stale_messages_ignored += 1
-        elif current.get("status") != "ok" and message.get("status") == "ok":
-            by_worker[worker_id] = message
-        elif resilience is not None:
-            resilience.duplicate_messages_ignored += 1
-
     def _group_messages(
         self,
         messages: List[Dict],
@@ -1242,70 +1163,25 @@ class LambadaDriver:
     ) -> Dict[int, Dict]:
         """Group result messages by worker id with ``(worker, attempt)`` dedup.
 
-        Spilled payloads are fetched from S3 with backoff — the pointed-to
-        object may be transiently invisible under an injected read-after-write
-        lag — and, with verification on, must parse and match their content
-        digest; a corrupt first read (in-flight corruption) is cured by one
-        re-issued GET counted as a re-read.
+        Spilled payloads are fetched (and verified) through
+        :func:`~repro.driver.messages.fetch_spilled` under the query's
+        breaker board and retry budget.
         """
         if by_worker is None:
             by_worker = {}
         for message in messages:
             if "result_s3" in message:
-                spilled = self._fetch_spilled_result(
-                    message["result_s3"], resilience, integrity
+                spilled = fetch_spilled(
+                    self.env.s3, message["result_s3"], self.integrity.verify,
+                    integrity, policy=self.resilience_policy,
+                    rng=self._jitter_rng, stats=resilience,
+                    breakers=self.breakers, budget=self._active_budget,
+                    now_fn=self._active_now,
                 )
                 spilled.setdefault("attempt", message.get("attempt", 0))
                 message = spilled
-            self._merge_message(by_worker, message, resilience)
+            merge_attempt(by_worker, message["worker_id"], message, resilience)
         return by_worker
-
-    def _fetch_spilled_result(
-        self,
-        path: str,
-        resilience: Optional[ResilienceStats],
-        integrity: Optional[IntegrityStats],
-    ) -> Dict:
-        """Fetch a spilled result object, verifying its content digest."""
-        bucket, key = parse_s3_path(path)
-        verify = self.integrity.verify
-        last_error: Optional[IntegrityError] = None
-        for read_attempt in range(DEFAULT_RESILIENCE.spill_read_attempts):
-            raw = call_with_backoff(
-                self.env.s3.get_object,
-                bucket,
-                key,
-                policy=self.resilience_policy,
-                rng=self._jitter_rng,
-                stats=resilience,
-                breakers=self.breakers,
-                budget=self._active_budget,
-                now_fn=self._active_now,
-            ).data
-            try:
-                spilled = json.loads(raw.decode("utf-8"))
-                if not isinstance(spilled, dict):
-                    raise ValueError("spilled result is not an object")
-            except (ValueError, UnicodeDecodeError) as exc:
-                last_error = IntegrityError(
-                    f"spilled result does not parse: {exc}",
-                    key=path, layer="spill.digest",
-                )
-            else:
-                if not verify or message_intact(spilled):
-                    if integrity is not None:
-                        if verify:
-                            integrity.verified_bytes += len(raw)
-                        if read_attempt:
-                            integrity.re_reads += 1
-                    return spilled
-                last_error = IntegrityError(
-                    "spilled result failed its content digest",
-                    key=path, layer="spill.digest",
-                )
-            if integrity is not None:
-                integrity.note_mismatch("spill.digest")
-        raise last_error
 
     def _retry_failures(
         self,
@@ -1624,7 +1500,7 @@ class LambadaDriver:
         resilience = resilience if resilience is not None else ResilienceStats()
         integrity = integrity if integrity is not None else IntegrityStats()
         if fault_snapshot is not None:
-            resilience.faults_injected = self._fault_delta(fault_snapshot)
+            resilience.faults_injected = fault_delta(self.env, fault_snapshot)
         prices = self.env.ledger.prices
         durations = [result.duration_seconds for result in worker_results]
         invocation = TreeInvocationModel(region=self.env.region)

@@ -21,18 +21,20 @@ I/O plane (paper §4.4):
   legacy O(P²) one-object-per-receiver pattern.  The legacy pattern survives
   behind ``ShuffleConfig(write_combining=False)`` as the parity baseline
   (with empty partitions elided before the PUT);
-* **reduce wave** — each worker discovers the senders' combined objects with
-  batched LIST requests (the offsets directory rides in the keys, so
-  discovery costs no GETs), issues **one ranged GET per non-empty slice**,
-  decodes the slices zero-copy with
+* **reduce wave** — each worker reads the combined objects the mappers
+  announced through the driver's map barrier (the offsets directory rides in
+  the keys, so it issues no discovery requests), issues **one ranged GET per
+  non-empty slice**, decodes the slices zero-copy with
   :func:`~repro.exchange.codec.decode_partition_slice`, folds them with a
   single :func:`~repro.engine.aggregates.merge_partials` pass, and returns
   its result rows to the driver through SQS (spilling to S3 when large).
-  Legacy per-receiver objects are located through the same metadata path
-  (one LIST, HEAD for stragglers) — never through exception-driven GET
-  polling — so combined and legacy senders interoperate within one query.
+  Legacy per-receiver objects are located with one LIST per attempt prefix —
+  never through exception-driven GET polling — so combined and legacy
+  senders interoperate within one query.
 
-Request/byte counters of both waves are accumulated into
+Every shuffle query ends with a sweep of its exchange prefix, so retried
+attempts leave no orphaned objects.  Request/byte counters of both waves are
+accumulated into
 :class:`~repro.exchange.basic.ExchangeStats`, shipped inside each worker's
 :class:`~repro.engine.pipeline.WorkerResult`, and folded into the returned
 :class:`ShuffleStatistics`.
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import uuid
 import zlib
 from dataclasses import dataclass, field
@@ -71,7 +74,15 @@ from repro.config import (
     IntegrityConfig,
     S3_REQUEST_LATENCY_SECONDS,
 )
-from repro.driver.integrity import IntegrityStats, message_intact, sign_message
+from repro.driver.integrity import MESSAGE_DIGEST_KEY, IntegrityStats, sign_message
+from repro.driver.messages import (
+    expand_paths,
+    fault_delta,
+    fault_snapshot,
+    fetch_spilled,
+    merge_attempt,
+    parse_message,
+)
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
     TRANSIENT_CLOUD_ERRORS,
@@ -112,12 +123,7 @@ from repro.errors import (
     WorkerCrashError,
     WorkerFailedError,
 )
-from repro.exchange.basic import (
-    ExchangeStats,
-    deserialize_partition,
-    discover_combined_objects,
-    serialize_partition,
-)
+from repro.exchange.basic import ExchangeStats, deserialize_partition, serialize_partition
 from repro.exchange.codec import decode_partition_slice, encode_partition_set
 from repro.exchange.naming import MultiBucketNaming, WriteCombiningNaming
 from repro.exchange.partition import partition_assignments, scatter_by_assignment, slice_partition
@@ -127,7 +133,6 @@ from repro.plan.logical import AggregateSpec
 from repro.plan.optimizer import _decompose_aggregates
 from repro.plan.physical import (
     DagPhysicalPlan,
-    JoinPhysicalPlan,
     JoinSidePlan,
     PruneRange,
 )
@@ -161,8 +166,6 @@ class ShuffleConfig:
     fast_codec: bool = True
     #: Compression of the partition payloads.
     compression: Compression = Compression.FAST
-    #: How often a reducer repeats its discovery LIST round before failing.
-    max_poll_rounds: int = 10
     #: Content-checksum generation/verification knobs (both default on):
     #: slice crcs in the combined-object keys, embedded frame checksums, and
     #: digests on every result message.
@@ -193,6 +196,8 @@ class ShuffleStatistics:
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
     #: Checksum verification and corruption-recovery counters.
     integrity: IntegrityStats = field(default_factory=IntegrityStats)
+    #: Exchange objects deleted by the end-of-query sweep.
+    gc_objects_deleted: int = 0
 
     @property
     def modelled_latency_seconds(self) -> float:
@@ -205,24 +210,6 @@ class ShuffleStatistics:
         )
 
 
-def _expand_glob_paths(s3, paths: Sequence[str]) -> List[str]:
-    """Expand glob patterns against the object store.
-
-    Globs over missing buckets expand to nothing; the caller then reports
-    "no input files" (mirroring ``LambadaDriver._expand_paths``).
-    """
-    expanded: List[str] = []
-    for path in paths:
-        if "*" in path:
-            try:
-                expanded.extend(s3.glob(path))
-            except NoSuchBucketError:
-                continue
-        else:
-            expanded.append(path)
-    return expanded
-
-
 def _message_key(payload: Dict):
     """Wave-local identity of a result message.
 
@@ -233,33 +220,6 @@ def _message_key(payload: Dict):
     side = payload.get("side")
     worker = payload.get("worker_id", -1)
     return (side, worker) if side is not None else worker
-
-
-def _merge_wave_message(
-    by_key: Dict, key, payload: Dict, resilience: Optional[ResilienceStats]
-) -> None:
-    """Fold one result message into ``by_key`` under (key, attempt) dedup.
-
-    A higher attempt supersedes a lower one; within the same attempt an ok
-    result beats an error (an injected SQS duplicate of either is dropped).
-    Superseded and duplicate deliveries are counted, never double-applied.
-    """
-    current = by_key.get(key)
-    if current is None:
-        by_key[key] = payload
-        return
-    current_attempt = int(current.get("attempt", 0))
-    new_attempt = int(payload.get("attempt", 0))
-    if new_attempt > current_attempt:
-        by_key[key] = payload
-    elif new_attempt < current_attempt:
-        if resilience is not None:
-            resilience.stale_messages_ignored += 1
-    elif current.get("status") != "ok" and payload.get("status") == "ok":
-        by_key[key] = payload
-    else:
-        if resilience is not None:
-            resilience.duplicate_messages_ignored += 1
 
 
 def _collect_wave_messages(
@@ -287,10 +247,9 @@ def _collect_wave_messages(
     either gets the partial dict back (``raise_on_timeout=False``, the retry
     loops) or :class:`~repro.errors.QueryTimeoutError`.
 
-    Messages that fail to parse or whose content digest mismatches (payload
-    corrupted on the queue) are dropped and counted into ``integrity``; the
-    wave machinery then re-invokes the silently-missing worker, so a corrupt
-    message can never contribute rows to the result.
+    Corrupt messages are dropped and counted into ``integrity`` (see
+    :func:`~repro.driver.messages.parse_message`); the wave machinery then
+    re-invokes the silently-missing worker.
     """
     by_key = {} if by_key is None else by_key
     min_attempt = min_attempt or {}
@@ -313,28 +272,13 @@ def _collect_wave_messages(
     )
     for _ in range(max_polls):
         for message in sqs.receive_messages(queue, max_messages=10):
-            try:
-                payload = message.json()
-                if not isinstance(payload, dict):
-                    raise ValueError("result message is not an object")
-            except ValueError:
-                # Corrupted beyond JSON: the producing worker looks missing
-                # and the wave machinery re-invokes it.
-                if integrity is not None:
-                    integrity.note_mismatch("sqs.parse")
-                    integrity.re_executions += 1
-                continue
-            if verify and not message_intact(payload):
-                if integrity is not None:
-                    integrity.note_mismatch("sqs.digest")
-                    integrity.re_executions += 1
-                continue
-            if payload.get("query_id") != query_id:
+            payload = parse_message(message, verify, integrity)
+            if payload is None or payload.get("query_id") != query_id:
                 continue
             key = _message_key(payload)
             if want is not None and key not in want:
                 continue
-            _merge_wave_message(by_key, key, payload, resilience)
+            merge_attempt(by_key, key, payload, resilience)
         if satisfied() >= target:
             return by_key
     if raise_on_timeout:
@@ -468,19 +412,6 @@ def _run_wave(
     raise WorkerFailedError(worker_id, f"{what}: {error}", attempts=history)
 
 
-def _fault_delta(env: CloudEnvironment, snapshot: Optional[Dict]) -> Dict[str, int]:
-    """Faults the installed plan injected since ``snapshot`` (per kind)."""
-    plan = getattr(env, "fault_plan", None)
-    if plan is None or snapshot is None:
-        return {}
-    now = plan.to_dict()
-    return {
-        kind: count - snapshot.get(kind, 0)
-        for kind, count in now.items()
-        if count > snapshot.get(kind, 0)
-    }
-
-
 def _slice_crcs(payload: bytes, offsets: Sequence[int]) -> List[int]:
     """Per-receiver crc32 digests of a combined object's slices.
 
@@ -496,78 +427,62 @@ def _slice_crcs(payload: bytes, offsets: Sequence[int]) -> List[int]:
     ]
 
 
-def _gc_query_objects(env: CloudEnvironment, query_id: str, namings) -> int:
-    """Delete every exchange object a query's attempts wrote; returns count.
-
-    All attempt prefixes (and, for DAG queries, all side/stage tags) live
-    under ``{query_id}/`` in every naming's buckets, so one LIST per bucket
-    sweeps the lot.  Best-effort: an injected fault during cleanup skips
-    that bucket rather than masking the caller's own outcome.
-    """
-    deleted = 0
-    swept: Set[str] = set()
-    for naming in namings:
-        for bucket in naming.buckets():
-            if bucket in swept:
-                continue
-            swept.add(bucket)
-            try:
-                metas = env.s3.list_objects(bucket, prefix=f"{query_id}/")
-            except CloudError:
-                continue
-            for meta in metas:
-                try:
-                    env.s3.delete_object(bucket, meta.key)
-                    deleted += 1
-                except CloudError:
-                    continue
-    return deleted
+def _exchange_buckets(num_buckets: int) -> List[str]:
+    """Buckets of both exchange naming planes (query-independent)."""
+    buckets = _combined_naming("", num_buckets).buckets()
+    return buckets + _legacy_naming("", num_buckets).buckets()
 
 
-def _gc_tag_objects(
-    env: CloudEnvironment,
-    query_id: str,
-    tag: str,
-    num_buckets: int,
-    max_attempts: int,
+def _key_tag(key: str) -> str:
+    """The tag segment of an exchange key: after the query id and an
+    optional ``r{n}/`` attempt segment."""
+    parts = key.split("/")
+    if len(parts) > 2 and re.fullmatch(r"r\d+", parts[1]):
+        return parts[2]
+    return parts[1] if len(parts) > 1 else ""
+
+
+def _sweep_exchange(
+    env: CloudEnvironment, query_id: str, num_buckets: int, tag: Optional[str] = None
 ) -> int:
-    """Delete one exchange tag's objects across every attempt prefix.
+    """Delete a query's exchange objects from both naming planes; returns count.
 
-    Used by the DAG scheduler to drop a consumed intermediate result (tag
-    ``J{k}``) as soon as the wave that read it completes, bounding peak
-    shuffle storage to two live stages instead of the whole DAG.  Listing
-    the exact ``{attempt prefix}{tag}/`` prefix catches combined and legacy
-    objects alike, including orphans from superseded attempts.
+    Every attempt prefix and every side/stage tag lives under ``{query_id}/``
+    in the buckets of both planes, so one LIST per bucket finds them all —
+    combined objects, legacy per-receiver objects a degraded retry wrote, and
+    orphans of superseded attempts.  With ``tag`` only keys whose tag segment
+    (:func:`_key_tag`) equals it are deleted: a consumed DAG intermediate.
+    Best-effort: an injected fault during cleanup skips that bucket rather
+    than masking the caller's own outcome.
     """
     deleted = 0
-    buckets = _join_map_naming(query_id, tag, num_buckets).buckets()
-    for attempt in range(max(1, max_attempts)):
-        prefix = f"{_attempt_prefix(query_id, attempt)}{tag}/"
-        for bucket in buckets:
+    for bucket in _exchange_buckets(num_buckets):
+        try:
+            metas = env.s3.list_objects(bucket, prefix=f"{query_id}/")
+        except CloudError:
+            continue
+        for meta in metas:
+            if tag is not None and _key_tag(meta.key) != tag:
+                continue
             try:
-                metas = env.s3.list_objects(bucket, prefix=prefix)
+                env.s3.delete_object(bucket, meta.key)
+                deleted += 1
             except CloudError:
                 continue
-            for meta in metas:
-                try:
-                    env.s3.delete_object(bucket, meta.key)
-                    deleted += 1
-                except CloudError:
-                    continue
     return deleted
 
 
-def _gc_cancelled_query(env: CloudEnvironment, query_id: str, namings, queue: str) -> int:
+def _gc_cancelled_query(
+    env: CloudEnvironment, query_id: str, num_buckets: int, queue: str
+) -> int:
     """Garbage-collect a cancelled query's cloud state; returns keys deleted.
 
-    Deletes every exchange object the query's attempts wrote (all attempt
-    prefixes live under ``{query_id}/`` in every naming's buckets) and purges
-    the result queue so no orphaned message can leak into a later query's
-    poll.  Best-effort: an injected fault during cleanup (the brownout that
-    provoked the cancellation may still be raging) skips that bucket rather
-    than masking the cancellation itself.
+    Sweeps every exchange object the query's attempts wrote and purges the
+    result queue so no orphaned message can leak into a later query's poll.
+    Best-effort: the brownout that provoked the cancellation may still be
+    raging, and cleanup never masks the cancellation itself.
     """
-    deleted = _gc_query_objects(env, query_id, namings)
+    deleted = _sweep_exchange(env, query_id, num_buckets)
     try:
         env.sqs.purge_queue(queue)
     except CloudError:
@@ -575,37 +490,65 @@ def _gc_cancelled_query(env: CloudEnvironment, query_id: str, namings, queue: st
     return deleted
 
 
-def _attempt_prefix(query_id: str, attempt: int) -> str:
-    """Key prefix of one attempt's map outputs.
+def _attempt_prefix(query_id: str, attempt: int, tag: str = "") -> str:
+    """Key prefix of one attempt's outputs under an exchange ``tag``.
 
     Retries write under a fresh ``r{attempt}`` prefix, so a mapper that
     crashed *after* its PUT (duplicate-object hazard) can never have its
     orphaned first-attempt object confused with the retry's: the reduce wave
-    reads only the keys announced by the attempt the driver accepted.
+    reads only the keys announced by the attempt the driver accepted.  Join
+    DAGs write each relation and intermediate under its own tag
+    (``L``/``R``/``R{k}``/``J{k}``); the aggregation exchange is untagged.
     """
-    return f"{query_id}/" if attempt <= 0 else f"{query_id}/r{attempt}/"
+    prefix = f"{query_id}/" if attempt <= 0 else f"{query_id}/r{attempt}/"
+    return prefix + (f"{tag}/" if tag else "")
 
 
-def _map_naming(
-    query_id: str, num_buckets: int, attempt: int = 0
+def _combined_naming(
+    query_id: str, num_buckets: int, attempt: int = 0, tag: str = ""
 ) -> WriteCombiningNaming:
-    """Naming of the combined (write-combined) map outputs."""
+    """Naming of the combined (write-combined) exchange objects."""
     return WriteCombiningNaming(
         bucket=SHUFFLE_BUCKET_PREFIX,
-        prefix=_attempt_prefix(query_id, attempt),
+        prefix=_attempt_prefix(query_id, attempt, tag),
         num_buckets=num_buckets,
     )
 
 
 def _legacy_naming(
-    query_id: str, num_buckets: int, attempt: int = 0
+    query_id: str, num_buckets: int, attempt: int = 0, tag: str = ""
 ) -> MultiBucketNaming:
-    """Naming of the legacy one-object-per-receiver map outputs."""
+    """Naming of the legacy one-object-per-receiver exchange objects."""
     return MultiBucketNaming(
         num_buckets=num_buckets,
         bucket_prefix=SHUFFLE_BUCKET_PREFIX,
-        prefix=_attempt_prefix(query_id, attempt),
+        prefix=_attempt_prefix(query_id, attempt, tag),
     )
+
+
+def _reply(event: Dict, worker_id: int, **fields) -> Dict:
+    """A result message answering ``event``'s attempt (status ok unless
+    ``fields`` say otherwise); join waves key it by the event's side."""
+    message = {
+        "query_id": event.get("query_id"),
+        "worker_id": worker_id,
+        "status": "ok",
+        "attempt": int(event.get("attempt", 0)),
+        **fields,
+    }
+    if event.get("side") is not None:
+        message["side"] = event["side"]
+    return message
+
+
+def _post(
+    env: CloudEnvironment, event: Dict, message: Dict, integrity: IntegrityConfig
+) -> Dict:
+    """Sign ``message`` (when digests are generated) and queue it."""
+    if integrity.generate:
+        sign_message(message)
+    env.sqs.send_json(event["result_queue"], message)
+    return message
 
 
 def _guarded(env: CloudEnvironment, run):
@@ -624,40 +567,151 @@ def _guarded(env: CloudEnvironment, run):
         except WorkerCrashError:
             raise
         except Exception as exc:  # noqa: BLE001 - every failure must surface
-            message = {
-                "query_id": event.get("query_id"),
-                "worker_id": event.get("worker_id", event.get("partition", -1)),
-                "status": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-                "attempt": int(event.get("attempt", 0)),
-            }
-            if event.get("side") is not None:
-                message["side"] = event["side"]
-            if IntegrityConfig.from_dict(event.get("integrity")).generate:
-                sign_message(message)
-            env.sqs.send_json(event["result_queue"], message)
-            return message
+            message = _reply(
+                event,
+                event.get("worker_id", event.get("partition", -1)),
+                status="error",
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            integrity = IntegrityConfig.from_dict(event.get("integrity"))
+            return _post(env, event, message, integrity)
 
     return handler
+
+
+def _charge(
+    context: InvocationContext, base_seconds: float, stats: ExchangeStats
+) -> float:
+    """Charge a worker's modelled duration and return it.
+
+    ``base_seconds`` (scan or merge time) plus one round-trip per exchange
+    request the worker issued: requests go out sequentially, as in
+    Algorithm 1 — this is where write combining buys its latency.
+    """
+    seconds = (
+        base_seconds + stats.total_requests * S3_REQUEST_LATENCY_SECONDS
+    ) * getattr(context, "straggler_factor", 1.0)
+    context.charge(seconds)
+    return seconds
+
+
+def _write_exchange(
+    env: CloudEnvironment,
+    event: Dict,
+    sender: int,
+    tag: str,
+    rows: Table,
+    keys: List[str],
+    num_partitions: int,
+    stats: ExchangeStats,
+    integrity: IntegrityConfig,
+) -> Dict:
+    """Hash-partition ``rows`` by ``keys`` into the exchange.
+
+    Returns the fields that announce the write in the sender's result
+    message.  With write combining (the default) every partition is
+    serialised into **one** object whose key carries the per-receiver offsets
+    and slice crcs; announcing its path through the driver's barrier lets the
+    reading wave skip discovery entirely, and an orphaned duplicate from a
+    crashed earlier attempt is never read.  The legacy plane writes one
+    object per non-empty receiver.  Rows are partitioned once into
+    contiguous slices; both formats serialise straight from the scattered
+    columns without re-gathering rows.
+    """
+    query_id = event["query_id"]
+    attempt = int(event.get("attempt", 0))
+    num_buckets = int(event.get("num_buckets", 10))
+    compression = Compression(event.get("compression", Compression.FAST.value))
+    assignment = partition_assignments(rows, keys, num_partitions)
+    reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
+    if event.get("write_combining", True):
+        payload, offsets = encode_partition_set(
+            reordered, boundaries, compression, checksum=integrity.generate
+        )
+        crcs = _slice_crcs(payload, offsets) if integrity.generate else None
+        naming = _combined_naming(query_id, num_buckets, attempt, tag)
+        try:
+            path = naming.combined_path(sender, offsets, crcs)
+        except ExchangeError:
+            # The offset directory of a very wide fleet overflows the S3
+            # key limit; fall back to per-receiver objects for this sender —
+            # the reading wave handles mixed formats.
+            pass
+        else:
+            env.s3.put_path(path, payload)
+            stats.put_requests += 1
+            stats.combined_put_requests += 1
+            stats.bytes_written += len(payload)
+            return {
+                "format": "combined",
+                "partitions_written": 1,
+                "combined_path": path,
+                "combined_size": len(payload),
+            }
+    naming = _legacy_naming(query_id, num_buckets, attempt, tag)
+    written = 0
+    for receiver in range(num_partitions):
+        data = serialize_partition(
+            slice_partition(reordered, boundaries, receiver),
+            compression,
+            fast=bool(event.get("fast_codec", True)),
+            checksum=integrity.generate,
+        )
+        if not data:
+            # Empty partition: skip the PUT entirely (the reading wave
+            # treats the missing object as an elided empty).
+            stats.empty_parts_elided += 1
+            continue
+        env.s3.put_path(naming.path(sender, receiver), data)
+        stats.put_requests += 1
+        stats.bytes_written += len(data)
+        written += 1
+    return {"format": "objects", "partitions_written": written}
+
+
+def _map_output(
+    env: CloudEnvironment,
+    event: Dict,
+    context: InvocationContext,
+    scan: S3ScanOperator,
+    rows: Table,
+    keys: List[str],
+    **counters,
+) -> Dict:
+    """Ship a mapper's rows into the exchange and report to the driver."""
+    integrity = IntegrityConfig.from_dict(event.get("integrity"))
+    stats = ExchangeStats()
+    announce = _write_exchange(
+        env, event, event["worker_id"], event.get("side") or "", rows, keys,
+        event["num_partitions"], stats, integrity,
+    )
+    result = WorkerResult(
+        partial={},
+        rows_scanned=scan.counters.rows_scanned,
+        get_requests=scan.statistics.get_requests,
+        bytes_read=scan.statistics.bytes_read,
+        duration_seconds=_charge(context, scan.modelled_seconds(), stats),
+        exchange_stats=stats.to_dict(),
+        **counters,
+    )
+    message = _reply(
+        event,
+        event["worker_id"],
+        rows_scanned=scan.counters.rows_scanned,
+        worker_result=result.to_payload(),
+        **announce,
+    )
+    return _post(env, event, message, integrity)
 
 
 def _make_map_handler(env: CloudEnvironment):
     """Handler of the map-wave function."""
 
     def handler(event: Dict, context: InvocationContext) -> Dict:
-        query_id = event["query_id"]
-        worker_id = event["worker_id"]
-        attempt = int(event.get("attempt", 0))
         group_by = list(event["group_by"])
         partials_specs = [AggregateSpec.from_dict(item) for item in event["aggregates"]]
         predicate = expression_from_dict(event.get("predicate"))
         prune_ranges = [PruneRange.from_dict(item) for item in event.get("prune_ranges", [])]
-        num_partitions = event["num_partitions"]
-        write_combining = bool(event.get("write_combining", True))
-        fast_codec = bool(event.get("fast_codec", True))
-        compression = Compression(event.get("compression", Compression.FAST.value))
-        num_buckets = int(event.get("num_buckets", 10))
-        integrity = IntegrityConfig.from_dict(event.get("integrity"))
 
         # The predicate is pushed into the scan (selection vectors on encoded
         # chunks) and the fused kernel folds surviving rows straight into the
@@ -675,91 +729,7 @@ def _make_map_handler(env: CloudEnvironment):
         for batch in scan.scan_fused(group_by):
             partials.append(partial_aggregate_fused(batch, group_by, partials_specs))
         merged = merge_partials(partials, group_by, partials_specs)
-
-        # Partition once into contiguous slices; both formats serialise
-        # straight from the scattered columns without re-gathering rows.
-        assignment = partition_assignments(merged, group_by, num_partitions)
-        reordered, boundaries = scatter_by_assignment(merged, assignment, num_partitions)
-
-        stats = ExchangeStats()
-        written = 0
-        combined_written = False
-        if write_combining:
-            naming = _map_naming(query_id, num_buckets, attempt)
-            payload, offsets = encode_partition_set(
-                reordered, boundaries, compression, checksum=integrity.generate
-            )
-            crcs = _slice_crcs(payload, offsets) if integrity.generate else None
-            try:
-                path = naming.combined_path(worker_id, offsets, crcs)
-            except ExchangeError:
-                # The offset directory of a very wide fleet overflows the S3
-                # key limit; fall back to per-receiver objects for this
-                # mapper — the reduce wave handles mixed formats.
-                pass
-            else:
-                env.s3.put_path(path, payload)
-                stats.put_requests += 1
-                stats.combined_put_requests += 1
-                stats.bytes_written += len(payload)
-                written = 1
-                combined_written = True
-        if not combined_written:
-            naming = _legacy_naming(query_id, num_buckets, attempt)
-            for receiver in range(num_partitions):
-                data = serialize_partition(
-                    slice_partition(reordered, boundaries, receiver),
-                    compression,
-                    fast=fast_codec,
-                    checksum=integrity.generate,
-                )
-                if not data:
-                    # Empty partition: skip the PUT entirely (the reduce wave
-                    # treats the missing object as an elided empty).
-                    stats.empty_parts_elided += 1
-                    continue
-                env.s3.put_path(naming.path(worker_id, receiver), data)
-                stats.put_requests += 1
-                stats.bytes_written += len(data)
-                written += 1
-        # Modelled duration: the scan plus one round-trip per exchange
-        # request the mapper issued (requests go out sequentially, as in
-        # Algorithm 1) — this is where write combining buys its latency.
-        modelled_seconds = (
-            scan.modelled_seconds()
-            + stats.total_requests * S3_REQUEST_LATENCY_SECONDS
-        ) * getattr(context, "straggler_factor", 1.0)
-        context.charge(modelled_seconds)
-
-        result = WorkerResult(
-            partial={},
-            rows_scanned=scan.counters.rows_scanned,
-            get_requests=scan.statistics.get_requests,
-            bytes_read=scan.statistics.bytes_read,
-            duration_seconds=modelled_seconds,
-            exchange_stats=stats.to_dict(),
-        )
-        message = {
-            "query_id": query_id,
-            "worker_id": worker_id,
-            "status": "ok",
-            "attempt": attempt,
-            "format": "combined" if combined_written else "objects",
-            "rows_scanned": scan.counters.rows_scanned,
-            "partitions_written": written,
-            "worker_result": result.to_payload(),
-        }
-        if combined_written:
-            # Announcing the offset-bearing path through the map barrier lets
-            # the driver hand the reduce wave a manifest: zero discovery
-            # LISTs, and an orphaned duplicate from a crashed earlier attempt
-            # is never read.
-            message["combined_path"] = path
-            message["combined_size"] = len(payload)
-        if integrity.generate:
-            sign_message(message)
-        env.sqs.send_json(event["result_queue"], message)
-        return message
+        return _map_output(env, event, context, scan, merged, group_by)
 
     return _guarded(env, handler)
 
@@ -799,22 +769,6 @@ def _discover_legacy(
     return found
 
 
-def _normalize_senders(entries: Sequence) -> List[tuple]:
-    """Normalize sender entries to ``(sender, attempt)`` pairs.
-
-    Driver-built events ship ``[sender, attempt]`` pairs (retried mappers
-    write under attempt-suffixed prefixes); bare ints from older callers mean
-    attempt 0.
-    """
-    normalized: List[tuple] = []
-    for entry in entries or []:
-        if isinstance(entry, (list, tuple)):
-            normalized.append((int(entry[0]), int(entry[1])))
-        else:
-            normalized.append((int(entry), 0))
-    return normalized
-
-
 def _verified_read(read, integrity: Optional[IntegrityStats]):
     """Run ``read`` with one verification-failure retry.
 
@@ -845,63 +799,76 @@ def _verified_read(read, integrity: Optional[IntegrityStats]):
         return value
 
 
+def _sender_manifest(messages: List[Dict], side: Optional[str] = None) -> Dict:
+    """Where one wave's senders (those keyed ``side``) wrote their partitions.
+
+    Combined objects are listed with the offset-bearing paths their writers
+    announced (the reading wave needs no discovery requests for them, and an
+    orphaned earlier-attempt duplicate is never read); legacy senders as
+    ``(sender, attempt)`` pairs, since retried writers wrote under
+    attempt-suffixed prefixes.  ``"empty"`` senders (an emit stage that
+    joined zero rows) wrote nothing and appear in neither list.
+    """
+    tagged = [m for m in messages if m.get("side") == side]
+    return {
+        "combined": sorted(
+            [m["worker_id"], m["combined_path"], m["combined_size"]]
+            for m in tagged
+            if m.get("format") == "combined"
+        ),
+        "object_senders": sorted(
+            [m["worker_id"], int(m.get("attempt", 0))]
+            for m in tagged
+            if m.get("format") == "objects"
+        ),
+    }
+
+
 def _collect_partition_pieces(
     env: CloudEnvironment,
-    combined_naming: WriteCombiningNaming,
-    legacy_naming_for,
-    combined_entries: Sequence,
-    combined_senders: Sequence[int],
-    object_senders: Sequence,
-    partition: int,
-    num_partitions: int,
-    max_poll_rounds: int,
+    event: Dict,
+    manifest: Dict,
+    tag: str,
     stats: ExchangeStats,
-    verify: bool = True,
-    integrity: Optional[IntegrityStats] = None,
+    istats: IntegrityStats,
 ) -> tuple:
-    """Read every sender's slice addressed to ``partition``.
+    """Read every sender's slice addressed to ``event``'s partition.
 
-    ``combined_entries`` is the driver-built manifest — ``(sender, path,
-    size)`` of each combined object, announced by the accepted map attempt
-    through the barrier.  Manifest slices need no discovery requests (the
-    offsets ride in the keys) and, crucially, an orphaned object from a
-    mapper attempt that crashed after its PUT is never read: only announced
-    keys are touched.  ``combined_senders`` is the manifest-less fallback
-    (batched discovery LISTs against ``combined_naming``); ``object_senders``
-    are legacy per-receiver senders as ``(sender, attempt)`` pairs, located
-    with one LIST per attempt prefix via ``legacy_naming_for(attempt)``.
-    Returns ``(pieces, objects_read)`` with empty pieces dropped, in global
-    sender order regardless of format — the reduce output is bit-identical
-    however each sender shipped its partitions.
+    ``manifest`` is the driver-built :func:`_sender_manifest` of the wave
+    that wrote under exchange ``tag``.  Combined slices need no discovery
+    requests (the offsets ride in the announced keys), and only announced
+    keys are touched; legacy per-receiver objects are located with one LIST
+    per attempt prefix.  Returns ``(pieces, objects_read)`` with empty
+    pieces dropped, in global sender order regardless of format — the reduce
+    output is bit-identical however each sender shipped its partitions.
 
-    With ``verify`` on, every read is checked before its rows are used:
+    With verification on, every read is checked before its rows are used:
     ranged-GET lengths against the offset directory, slice bytes against the
     per-slice crcs riding in the key, and the frame's embedded checksums on
     decode.  A failed check triggers one re-issued GET (in-flight corruption
-    is cured by a clean second read, counted as ``integrity.re_reads``); if
+    is cured by a clean second read, counted as ``istats.re_reads``); if
     the second read also fails, the :class:`~repro.errors.IntegrityError`
     propagates with full provenance and the driver's wave retry re-executes
     the consuming attempt.
     """
+    query_id = event["query_id"]
+    partition = event["partition"]
+    num_partitions = event["num_partitions"]
+    num_buckets = int(event.get("num_buckets", 10))
+    verify = IntegrityConfig.from_dict(event.get("integrity")).verify
     sliced: Dict[int, tuple] = {}
-    for sender, path, size in combined_entries or []:
-        sliced[int(sender)] = (path, int(size), None)
-    if combined_senders:
-        discovered = discover_combined_objects(
-            env.s3, combined_naming, combined_senders, max_poll_rounds, stats
-        )
-        for sender, (meta, offsets) in discovered.items():
-            sliced[sender] = (meta.path, meta.size, offsets)
+    for sender, path, size in manifest.get("combined", []):
+        sliced[int(sender)] = (path, int(size))
 
     legacy_by_attempt: Dict[int, List[int]] = {}
-    for sender, attempt in _normalize_senders(object_senders):
-        legacy_by_attempt.setdefault(attempt, []).append(sender)
+    for sender, attempt in manifest.get("object_senders", []):
+        legacy_by_attempt.setdefault(int(attempt), []).append(int(sender))
     legacy: Dict[int, ObjectMetadata] = {}
     for attempt in sorted(legacy_by_attempt):
         legacy.update(
             _discover_legacy(
                 env,
-                legacy_naming_for(attempt),
+                _legacy_naming(query_id, num_buckets, attempt, tag),
                 legacy_by_attempt[attempt],
                 partition,
                 stats,
@@ -912,11 +879,9 @@ def _collect_partition_pieces(
     objects_read = 0
     for sender in sorted(set(sliced) | set(legacy)):
         if sender in sliced:
-            path, size, offsets = sliced[sender]
+            path, size = sliced[sender]
             _, key = parse_s3_path(path)
-            _, parsed_offsets, crcs = WriteCombiningNaming.parse_directory(key)
-            if offsets is None:
-                offsets = parsed_offsets
+            _, offsets, crcs = WriteCombiningNaming.parse_directory(key)
             if len(offsets) != num_partitions + 1:
                 raise ExchangeError(
                     f"combined object {path!r} has {len(offsets) - 1} "
@@ -956,7 +921,7 @@ def _collect_partition_pieces(
                 )
                 return piece, len(result.data)
 
-            piece, nbytes = _verified_read(read_slice, integrity)
+            piece, nbytes = _verified_read(read_slice, istats)
             objects_read += 1
         else:
             meta = legacy[sender]
@@ -971,136 +936,195 @@ def _collect_partition_pieces(
                 )
                 return piece, len(result.data)
 
-            piece, nbytes = _verified_read(read_object, integrity)
+            piece, nbytes = _verified_read(read_object, istats)
             objects_read += 1
-        if integrity is not None and verify:
-            integrity.verified_bytes += nbytes
+        if verify:
+            istats.verified_bytes += nbytes
         if table_num_rows(piece):
             pieces.append(piece)
     return pieces, objects_read
+
+
+def _reduce_result(
+    context: InvocationContext,
+    output: Table,
+    objects_read: int,
+    stats: ExchangeStats,
+    istats: IntegrityStats,
+    **counters,
+) -> WorkerResult:
+    """Charge a reading worker's modelled duration and describe its work."""
+    return WorkerResult(
+        partial={},
+        rows_output=table_num_rows(output),
+        duration_seconds=_charge(context, 0.1 + 0.001 * objects_read, stats),
+        exchange_stats=stats.to_dict(),
+        integrity_stats=istats.to_dict(),
+        **counters,
+    )
+
+
+def _send_result(
+    env: CloudEnvironment,
+    event: Dict,
+    message: Dict,
+    output: Table,
+    spill_name: str,
+    integrity: IntegrityConfig,
+) -> Dict:
+    """Return ``output`` to the driver, spilling it to S3 when too large.
+
+    A spilled message is stored whole under an attempt-suffixed key (a
+    retried reducer never overwrites an earlier attempt's spill mid-read)
+    and announced by a signed pointer carrying everything but the rows.
+    """
+    message["result"] = encode_table(output, checksum=integrity.generate)
+    if integrity.generate:
+        sign_message(message)
+    encoded = json.dumps(message).encode("utf-8")
+    if len(encoded) <= RESULT_SPILL_BYTES:
+        # Reuse the bytes already serialised for the spill-size check.
+        env.sqs.send_message(event["result_queue"], encoded.decode("utf-8"))
+        return message
+    env.s3.ensure_bucket(RESULT_BUCKET)
+    key = (
+        f"{message['query_id']}/{spill_name}-{message['worker_id']}"
+        f".a{message['attempt']}.json"
+    )
+    env.s3.put_object(RESULT_BUCKET, key, encoded)
+    pointer = {
+        name: value
+        for name, value in message.items()
+        if name not in ("result", MESSAGE_DIGEST_KEY)
+    }
+    pointer["result_s3"] = f"s3://{RESULT_BUCKET}/{key}"
+    _post(env, event, pointer, integrity)
+    return message
 
 
 def _make_reduce_handler(env: CloudEnvironment):
     """Handler of the reduce-wave function."""
 
     def handler(event: Dict, context: InvocationContext) -> Dict:
-        import json
-
-        query_id = event["query_id"]
-        partition = event["partition"]
-        attempt = int(event.get("attempt", 0))
-        num_partitions = event["num_partitions"]
-        combined_entries = list(event.get("combined", []))
-        combined_senders = list(event.get("combined_senders", []))
-        object_senders = list(event.get("object_senders", []))
         group_by = list(event["group_by"])
         partials_specs = [AggregateSpec.from_dict(item) for item in event["aggregates"]]
-        num_buckets = int(event.get("num_buckets", 10))
-        max_poll_rounds = int(event.get("max_poll_rounds", 10))
         integrity = IntegrityConfig.from_dict(event.get("integrity"))
         istats = IntegrityStats()
 
         stats = ExchangeStats()
         pieces, objects_read = _collect_partition_pieces(
-            env,
-            _map_naming(query_id, num_buckets),
-            lambda map_attempt: _legacy_naming(query_id, num_buckets, map_attempt),
-            combined_entries,
-            combined_senders,
-            object_senders,
-            partition,
-            num_partitions,
-            max_poll_rounds,
-            stats,
-            verify=integrity.verify,
-            integrity=istats,
+            env, event, event, "", stats, istats
         )
         # Single merge pass: the zero-copy slice views are folded (and thereby
         # materialised into fresh group buffers) exactly once.
         merged = merge_partials(pieces, group_by, partials_specs)
-        modelled_seconds = (
-            0.1
-            + 0.001 * objects_read
-            + stats.total_requests * S3_REQUEST_LATENCY_SECONDS
-        ) * getattr(context, "straggler_factor", 1.0)
-        context.charge(modelled_seconds)
-
-        result = WorkerResult(
-            partial={},
-            rows_output=table_num_rows(merged),
-            duration_seconds=modelled_seconds,
-            exchange_stats=stats.to_dict(),
-            integrity_stats=istats.to_dict(),
+        result = _reduce_result(context, merged, objects_read, stats, istats)
+        message = _reply(
+            event,
+            event["partition"],
+            objects_read=objects_read,
+            worker_result=result.to_payload(),
         )
-        payload = {
-            "query_id": query_id,
-            "worker_id": partition,
-            "status": "ok",
-            "attempt": attempt,
-            "objects_read": objects_read,
-            "worker_result": result.to_payload(),
-            "result": encode_table(merged, checksum=integrity.generate),
-        }
-        if integrity.generate:
-            sign_message(payload)
-        encoded = json.dumps(payload).encode("utf-8")
-        if len(encoded) > RESULT_SPILL_BYTES:
-            env.s3.ensure_bucket(RESULT_BUCKET)
-            # The attempt suffix keeps a retried reducer from overwriting an
-            # earlier attempt's spill mid-read.
-            key = f"{query_id}/reduce-{partition}.a{attempt}.json"
-            env.s3.put_object(RESULT_BUCKET, key, encoded)
-            pointer = {
-                "query_id": query_id,
-                "worker_id": partition,
-                "status": "ok",
-                "attempt": attempt,
-                "objects_read": objects_read,
-                "worker_result": result.to_payload(),
-                "result_s3": f"s3://{RESULT_BUCKET}/{key}",
-            }
-            if integrity.generate:
-                sign_message(pointer)
-            env.sqs.send_json(event["result_queue"], pointer)
-        else:
-            # Reuse the bytes already serialised for the spill-size check.
-            env.sqs.send_message(event["result_queue"], encoded.decode("utf-8"))
-        return payload
+        return _send_result(env, event, message, merged, "reduce", integrity)
 
     return _guarded(env, handler)
 
 
 class _ResilientWaves:
-    """Shared wave-retry plumbing of the shuffle coordinators.
+    """Shared machinery of the shuffle coordinators.
 
-    Expects the subclass to provide ``env``, ``result_queue``,
-    ``resilience_policy``, and ``_jitter_rng``.
+    Deploys the subclass's two wave functions (``FUNCTIONS``: name and
+    handler factory of each) next to its result queue, runs each query's
+    waves under one prologue and epilogue (:meth:`_run_query`), retries
+    waves (:meth:`_wave`), and folds the workers' results (:meth:`_fold`).
 
-    The overload-control context (PR 9) is armed per query through
-    :meth:`_arm_overload`: the driver passes its cancellation token, breaker
-    board, retry budget, and modelled now-function before delegating, and
-    every wave threads them into :func:`_run_wave`.
+    The overload-control context is armed per query: the driver passes its
+    cancellation token, breaker board, retry budget, and modelled
+    now-function, and every wave threads them into :func:`_run_wave`.
     """
 
-    #: Per-query overload context; ``None`` on plain (pre-PR-9) calls.
+    RESULT_QUEUE: str
+    FUNCTIONS: tuple
+
+    #: Per-query overload context; ``None`` outside a query.
     _cancel = None
     _breakers = None
     _budget = None
     _now_fn = None
 
-    def _arm_overload(self, cancel=None, breakers=None, budget=None, now_fn=None):
-        """Install the per-query overload context (cleared by the caller)."""
-        self._cancel = cancel
-        self._breakers = breakers
-        self._budget = budget
-        self._now_fn = now_fn
+    def __init__(
+        self,
+        env: CloudEnvironment,
+        memory_mib: int = 2048,
+        num_buckets: int = 10,
+        result_queue: Optional[str] = None,
+        config: Optional[ShuffleConfig] = None,
+        resilience_policy: Optional[ResiliencePolicy] = None,
+    ):
+        self.env = env
+        self.memory_mib = memory_mib
+        self.num_buckets = num_buckets
+        self.result_queue = result_queue or self.RESULT_QUEUE
+        self.config = config or ShuffleConfig()
+        self.resilience_policy = resilience_policy or DEFAULT_RESILIENCE_POLICY
+        self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
+        env.sqs.create_queue(self.result_queue)
+        # The handlers are stateless (per-query naming is derived from the
+        # event), so coordinators sharing an environment can interleave.
+        for name, make_handler in self.FUNCTIONS:
+            env.lambda_service.deploy(
+                FunctionConfig(name=name, memory_mib=memory_mib), make_handler(env)
+            )
 
-    def _expand(self, paths: Sequence[str]) -> List[str]:
-        return _expand_glob_paths(self.env.s3, paths)
+    def _run_query(self, body, cancel=None, breakers=None, budget=None, now_fn=None):
+        """Run ``body(query_id)`` — one query's waves — and return its outcome.
 
-    def _fault_snapshot(self) -> Optional[Dict]:
-        plan = getattr(self.env, "fault_plan", None)
-        return plan.to_dict() if plan is not None else None
+        ``body`` returns a tuple whose second item is the query's statistics.
+        Before it runs, every exchange bucket exists, the jitter stream is
+        reseeded (backoff schedules must not depend on how many queries this
+        coordinator ran before: order-independent chaos) and the overload
+        context is armed.  A cancellation raised mid-wave garbage-collects
+        every exchange object the query wrote and purges its result-queue
+        messages before propagating; a completed query ends with a sweep of
+        its exchange prefix, so superseded attempts leave no orphans.
+        """
+        query_id = uuid.uuid4().hex[:12]
+        for bucket in _exchange_buckets(self.num_buckets):
+            self.env.s3.ensure_bucket(bucket)
+        self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
+        self._cancel, self._breakers = cancel, breakers
+        self._budget, self._now_fn = budget, now_fn
+        if cancel is not None and now_fn is not None:
+            cancel.bind(now_fn, query_id=query_id)
+        snapshot = fault_snapshot(self.env)
+        try:
+            outcome = body(query_id)
+        except QueryCancelledError:
+            _gc_cancelled_query(self.env, query_id, self.num_buckets, self.result_queue)
+            raise
+        finally:
+            self._cancel = self._breakers = self._budget = self._now_fn = None
+        statistics = outcome[1]
+        statistics.gc_objects_deleted += _sweep_exchange(
+            self.env, query_id, self.num_buckets
+        )
+        statistics.resilience.faults_injected = fault_delta(self.env, snapshot)
+        return outcome
+
+    def _event(self, query_id: str, num_partitions: int, **fields) -> Dict:
+        """An invocation payload carrying the query's exchange settings."""
+        return {
+            "query_id": query_id,
+            "attempt": 0,
+            "num_partitions": num_partitions,
+            "result_queue": self.result_queue,
+            "write_combining": self.config.write_combining,
+            "fast_codec": self.config.fast_codec,
+            "compression": self.config.compression.value,
+            "num_buckets": self.num_buckets,
+            "integrity": self.config.integrity.to_dict(),
+            **fields,
+        }
 
     def _wave(
         self,
@@ -1158,89 +1182,64 @@ class _ResilientWaves:
 
         return on_retry
 
-    def _fetch_spilled(
+    def _fold(
         self,
-        path: str,
+        waves: List[List[Dict]],
         resilience: ResilienceStats,
-        integrity: Optional[IntegrityStats] = None,
-    ) -> Dict:
-        """Fetch and decode a spilled result message, retrying transients.
+        integrity_stats: IntegrityStats,
+        label: str,
+    ):
+        """Fold the waves' worker results; decode the last wave's tables.
 
-        With verification on, the spilled JSON must parse and match its
-        content digest; a corrupt first read (in-flight corruption) is cured
-        by one re-issued GET counted into ``integrity.re_reads``.
+        Returns ``(exchange, worker_results, wave_seconds, tables)``: the
+        summed exchange counters (integrity counters fold into
+        ``integrity_stats``), every worker's :class:`WorkerResult` in wave
+        order, the slowest worker's modelled duration per wave, and the last
+        wave's result tables — spilled ones fetched through
+        :func:`~repro.driver.messages.fetch_spilled`.
         """
-        import json
-
-        bucket, key = parse_s3_path(path)
+        exchange = ExchangeStats()
+        worker_results: List[WorkerResult] = []
+        wave_seconds: List[float] = []
+        for messages in waves:
+            slowest = 0.0
+            for message in messages:
+                payload = message.get("worker_result")
+                if not payload:
+                    continue
+                parsed = WorkerResult.from_payload(payload)
+                worker_results.append(parsed)
+                exchange.merge(ExchangeStats.from_dict(parsed.exchange_stats))
+                integrity_stats.merge(IntegrityStats.from_dict(parsed.integrity_stats))
+                slowest = max(slowest, parsed.duration_seconds)
+            wave_seconds.append(slowest)
         verify = self.config.integrity.verify
-        last_error: Optional[IntegrityError] = None
-        for read_attempt in range(2):
-            spilled = call_with_backoff(
-                self.env.s3.get_object, bucket, key,
-                policy=self.resilience_policy, rng=self._jitter_rng,
-                stats=resilience,
+        tables: List[Table] = []
+        for message in waves[-1]:
+            if "result_s3" in message:
+                message = fetch_spilled(
+                    self.env.s3, message["result_s3"], verify, integrity_stats,
+                    policy=self.resilience_policy, rng=self._jitter_rng,
+                    stats=resilience,
+                )
+            tables.append(
+                decode_table(
+                    message["result"],
+                    verify=verify,
+                    key=f"{label}-{message.get('worker_id')}",
+                )
             )
-            try:
-                payload = json.loads(spilled.data.decode("utf-8"))
-                if not isinstance(payload, dict):
-                    raise ValueError("spilled result is not an object")
-            except (ValueError, UnicodeDecodeError) as exc:
-                last_error = IntegrityError(
-                    f"spilled result does not parse: {exc}",
-                    key=path, layer="spill.digest",
-                )
-            else:
-                if not verify or message_intact(payload):
-                    if integrity is not None:
-                        if verify:
-                            integrity.verified_bytes += len(spilled.data)
-                        if read_attempt:
-                            integrity.re_reads += 1
-                    return payload
-                last_error = IntegrityError(
-                    "spilled result failed its content digest",
-                    key=path, layer="spill.digest",
-                )
-            if integrity is not None:
-                integrity.note_mismatch("spill.digest")
-            if not verify:
-                # Unverified mode still needs parseable JSON; one blind
-                # re-read is the best recovery available.
-                continue
-        raise last_error
+        return exchange, worker_results, wave_seconds, tables
 
 
 class ShuffleAggregateCoordinator(_ResilientWaves):
     """Coordinates two-wave (map + reduce) aggregation over serverless workers."""
 
-    def __init__(
-        self,
-        env: CloudEnvironment,
-        memory_mib: int = 2048,
-        num_buckets: int = 10,
-        result_queue: str = SHUFFLE_RESULT_QUEUE,
-        config: Optional[ShuffleConfig] = None,
-        resilience_policy: Optional[ResiliencePolicy] = None,
-    ):
-        self.env = env
-        self.memory_mib = memory_mib
-        self.num_buckets = num_buckets
-        self.result_queue = result_queue
-        self.config = config or ShuffleConfig()
-        self.resilience_policy = resilience_policy or DEFAULT_RESILIENCE_POLICY
-        self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
-        env.sqs.create_queue(result_queue)
-        # The handlers are stateless (per-query naming is derived from the
-        # event), so coordinators sharing an environment can interleave.
-        env.lambda_service.deploy(
-            FunctionConfig(name=MAP_FUNCTION_NAME, memory_mib=memory_mib),
-            _make_map_handler(env),
-        )
-        env.lambda_service.deploy(
-            FunctionConfig(name=REDUCE_FUNCTION_NAME, memory_mib=memory_mib),
-            _make_reduce_handler(env),
-        )
+    RESULT_QUEUE = SHUFFLE_RESULT_QUEUE
+    FUNCTIONS = (
+        (MAP_FUNCTION_NAME, _make_map_handler),
+        (REDUCE_FUNCTION_NAME, _make_reduce_handler),
+    )
 
     # -- execution ------------------------------------------------------------------
 
@@ -1270,11 +1269,10 @@ class ShuffleAggregateCoordinator(_ResilientWaves):
         """Run a repartitioned group-by aggregation and return (table, statistics).
 
         ``cancel``/``breakers``/``budget``/``now_fn`` arm the overload plane
-        for this query (see :class:`_ResilientWaves`); a cancellation raised
-        mid-wave garbage-collects every exchange object the query wrote and
-        purges its result-queue messages before propagating.
+        for this query; see :meth:`_ResilientWaves._run_query` for the
+        cancellation GC and the end-of-query sweep.
         """
-        paths = self._expand(paths)
+        paths = expand_paths(self.env.s3, paths)
         if not paths:
             raise ExecutionError("shuffle aggregation has no input files")
         if not group_by:
@@ -1283,31 +1281,13 @@ class ShuffleAggregateCoordinator(_ResilientWaves):
         num_workers = min(num_workers, len(paths))
 
         partials, finals = _decompose_aggregates(list(aggregates))
-        query_id = uuid.uuid4().hex[:12]
-        namings = (
-            _map_naming(query_id, self.num_buckets),
-            _legacy_naming(query_id, self.num_buckets),
-        )
-        for naming in namings:
-            for bucket in naming.buckets():
-                self.env.s3.ensure_bucket(bucket)
-
-        # Per-query jitter reseed: backoff schedules must not depend on how
-        # many queries this coordinator ran before (order-independent chaos).
-        self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
-        self._arm_overload(cancel, breakers, budget, now_fn)
-        if cancel is not None and now_fn is not None:
-            cancel.bind(now_fn, query_id=query_id)
-        try:
-            return self._execute_waves(
+        return self._run_query(
+            lambda query_id: self._execute_waves(
                 paths, group_by, partials, finals, predicate, columns,
                 num_workers, order_by, query_id,
-            )
-        except QueryCancelledError:
-            _gc_cancelled_query(self.env, query_id, namings, self.result_queue)
-            raise
-        finally:
-            self._arm_overload()
+            ),
+            cancel, breakers, budget, now_fn,
+        )
 
     def _execute_waves(
         self,
@@ -1321,34 +1301,27 @@ class ShuffleAggregateCoordinator(_ResilientWaves):
         order_by: Optional[Sequence[str]],
         query_id: str,
     ):
-        """The wave body of :meth:`execute` (split out for cancellation GC)."""
+        """The wave body of :meth:`execute`."""
         resilience = ResilienceStats()
         integrity_stats = IntegrityStats()
-        fault_snapshot = self._fault_snapshot()
 
         # -- map wave -------------------------------------------------------------
         assignments = [paths[i::num_workers] for i in range(num_workers)]
         assignments = [files for files in assignments if files]
         map_events = {}
         for worker_id, files in enumerate(assignments):
-            map_events[worker_id] = {
-                "query_id": query_id,
-                "worker_id": worker_id,
-                "attempt": 0,
-                "files": files,
-                "columns": list(columns) if columns else None,
-                "predicate": expression_to_dict(predicate),
-                "prune_ranges": [],
-                "group_by": list(group_by),
-                "aggregates": [spec.to_dict() for spec in partials],
-                "num_partitions": len(assignments),
-                "result_queue": self.result_queue,
-                "write_combining": self._map_mode(worker_id),
-                "fast_codec": self.config.fast_codec,
-                "compression": self.config.compression.value,
-                "num_buckets": self.num_buckets,
-                "integrity": self.config.integrity.to_dict(),
-            }
+            map_events[worker_id] = self._event(
+                query_id,
+                len(assignments),
+                worker_id=worker_id,
+                files=files,
+                columns=list(columns) if columns else None,
+                predicate=expression_to_dict(predicate),
+                prune_ranges=[],
+                group_by=list(group_by),
+                aggregates=[spec.to_dict() for spec in partials],
+                write_combining=self._map_mode(worker_id),
+            )
         map_messages = self._wave(
             MAP_FUNCTION_NAME, map_events, query_id, "shuffle map", resilience,
             on_retry=self._degrade_map_retry(resilience),
@@ -1356,81 +1329,33 @@ class ShuffleAggregateCoordinator(_ResilientWaves):
         )
         rows_scanned = sum(message.get("rows_scanned", 0) for message in map_messages)
         objects_written = sum(message.get("partitions_written", 0) for message in map_messages)
-        # Reduce manifest: combined objects are announced with their
-        # offset-bearing paths (zero discovery requests, and an orphaned
-        # earlier-attempt duplicate is never read); legacy senders travel as
-        # (sender, attempt) pairs so retried mappers' prefixes are found.
-        combined_entries = sorted(
-            [m["worker_id"], m["combined_path"], m["combined_size"]]
-            for m in map_messages
-            if m.get("format") == "combined" and "combined_path" in m
-        )
-        combined_senders = sorted(
-            m["worker_id"]
-            for m in map_messages
-            if m.get("format") == "combined" and "combined_path" not in m
-        )
-        object_senders = sorted(
-            [m["worker_id"], int(m.get("attempt", 0))]
-            for m in map_messages
-            if m.get("format") != "combined"
-        )
+        manifest = _sender_manifest(map_messages)
 
         # -- reduce wave ------------------------------------------------------------
         reduce_events = {}
         for partition in range(len(assignments)):
-            reduce_events[partition] = {
-                "query_id": query_id,
-                "partition": partition,
-                "attempt": 0,
-                "num_partitions": len(assignments),
-                "combined": combined_entries,
-                "combined_senders": combined_senders,
-                "object_senders": object_senders,
-                "group_by": list(group_by),
-                "aggregates": [spec.to_dict() for spec in partials],
-                "result_queue": self.result_queue,
-                "num_buckets": self.num_buckets,
-                "max_poll_rounds": self.config.max_poll_rounds,
-                "integrity": self.config.integrity.to_dict(),
-            }
+            reduce_events[partition] = self._event(
+                query_id,
+                len(assignments),
+                partition=partition,
+                group_by=list(group_by),
+                aggregates=[spec.to_dict() for spec in partials],
+                **manifest,
+            )
         reduce_messages = self._wave(
             REDUCE_FUNCTION_NAME, reduce_events, query_id, "shuffle reduce",
             resilience, integrity=integrity_stats,
         )
         objects_read = sum(message.get("objects_read", 0) for message in reduce_messages)
 
-        exchange = ExchangeStats()
-        wave_seconds = {"map": 0.0, "reduce": 0.0}
-        for wave, messages in (("map", map_messages), ("reduce", reduce_messages)):
-            for message in messages:
-                worker_result = message.get("worker_result")
-                if not worker_result:
-                    continue
-                parsed = WorkerResult.from_payload(worker_result)
-                exchange.merge(ExchangeStats.from_dict(parsed.exchange_stats))
-                integrity_stats.merge(IntegrityStats.from_dict(parsed.integrity_stats))
-                wave_seconds[wave] = max(wave_seconds[wave], parsed.duration_seconds)
-
-        pieces = []
-        for message in reduce_messages:
-            if "result_s3" in message:
-                message = self._fetch_spilled(
-                    message["result_s3"], resilience, integrity_stats
-                )
-            pieces.append(
-                decode_table(
-                    message["result"],
-                    verify=self.config.integrity.verify,
-                    key=f"reduce-{message.get('worker_id')}",
-                )
-            )
+        exchange, _, wave_seconds, pieces = self._fold(
+            [map_messages, reduce_messages], resilience, integrity_stats, "reduce"
+        )
         merged = concat_tables([piece for piece in pieces if table_num_rows(piece)])
         result = finalize_aggregates(merged, list(group_by), list(finals))
         if order_by:
             result = sort_table(result, list(order_by))
 
-        resilience.faults_injected = _fault_delta(self.env, fault_snapshot)
         statistics = ShuffleStatistics(
             map_workers=len(assignments),
             reduce_workers=len(assignments),
@@ -1439,12 +1364,13 @@ class ShuffleAggregateCoordinator(_ResilientWaves):
             partition_objects_read=objects_read,
             result_rows=table_num_rows(result),
             exchange=exchange,
-            modelled_map_seconds=wave_seconds["map"],
-            modelled_reduce_seconds=wave_seconds["reduce"],
+            modelled_map_seconds=wave_seconds[0],
+            modelled_reduce_seconds=wave_seconds[1],
             resilience=resilience,
             integrity=integrity_stats,
         )
         return result, statistics
+
 
 # ---------------------------------------------------------------------------
 # Distributed shuffle join
@@ -1455,28 +1381,6 @@ JOIN_RESULT_QUEUE = "lambada-join-results"
 #: Side tags of the join exchange; each side writes under its own prefix of
 #: the shuffle buckets so the two repartition streams never collide.
 JOIN_SIDES = ("L", "R")
-
-
-def _join_map_naming(
-    query_id: str, side: str, num_buckets: int, attempt: int = 0
-) -> WriteCombiningNaming:
-    """Naming of one side's combined (write-combined) map outputs."""
-    return WriteCombiningNaming(
-        bucket=SHUFFLE_BUCKET_PREFIX,
-        prefix=f"{_attempt_prefix(query_id, attempt)}{side}/",
-        num_buckets=num_buckets,
-    )
-
-
-def _join_legacy_naming(
-    query_id: str, side: str, num_buckets: int, attempt: int = 0
-) -> MultiBucketNaming:
-    """Naming of one side's legacy one-object-per-receiver map outputs."""
-    return MultiBucketNaming(
-        num_buckets=num_buckets,
-        bucket_prefix=SHUFFLE_BUCKET_PREFIX,
-        prefix=f"{_attempt_prefix(query_id, attempt)}{side}/",
-    )
 
 
 def _make_join_map_handler(env: CloudEnvironment):
@@ -1490,18 +1394,7 @@ def _make_join_map_handler(env: CloudEnvironment):
     """
 
     def handler(event: Dict, context: InvocationContext) -> Dict:
-        query_id = event["query_id"]
-        worker_id = event["worker_id"]
-        side = event["side"]
-        attempt = int(event.get("attempt", 0))
         side_plan = JoinSidePlan.from_dict(event)
-        num_partitions = event["num_partitions"]
-        write_combining = bool(event.get("write_combining", True))
-        fast_codec = bool(event.get("fast_codec", True))
-        compression = Compression(event.get("compression", Compression.FAST.value))
-        num_buckets = int(event.get("num_buckets", 10))
-        integrity = IntegrityConfig.from_dict(event.get("integrity"))
-
         scan = S3ScanOperator(
             env.s3,
             files=side_plan.files,
@@ -1514,213 +1407,12 @@ def _make_join_map_handler(env: CloudEnvironment):
         # The pushed-down predicate rides inside the scan operator, so chunks
         # arrive already filtered through the late-materialization path.
         rows = concat_tables(list(scan.scan()))
-
-        assignment = partition_assignments(rows, [side_plan.key], num_partitions)
-        reordered, boundaries = scatter_by_assignment(rows, assignment, num_partitions)
-
-        stats = ExchangeStats()
-        written = 0
-        combined_written = False
-        if write_combining:
-            naming = _join_map_naming(query_id, side, num_buckets, attempt)
-            payload, offsets = encode_partition_set(
-                reordered, boundaries, compression, checksum=integrity.generate
-            )
-            crcs = _slice_crcs(payload, offsets) if integrity.generate else None
-            try:
-                path = naming.combined_path(worker_id, offsets, crcs)
-            except ExchangeError:
-                # Offset directory overflows the S3 key limit (very wide
-                # fleet): fall back to per-receiver objects for this mapper.
-                pass
-            else:
-                env.s3.put_path(path, payload)
-                stats.put_requests += 1
-                stats.combined_put_requests += 1
-                stats.bytes_written += len(payload)
-                written = 1
-                combined_written = True
-        if not combined_written:
-            naming = _join_legacy_naming(query_id, side, num_buckets, attempt)
-            for receiver in range(num_partitions):
-                data = serialize_partition(
-                    slice_partition(reordered, boundaries, receiver),
-                    compression,
-                    fast=fast_codec,
-                    checksum=integrity.generate,
-                )
-                if not data:
-                    stats.empty_parts_elided += 1
-                    continue
-                env.s3.put_path(naming.path(worker_id, receiver), data)
-                stats.put_requests += 1
-                stats.bytes_written += len(data)
-                written += 1
-        modelled_seconds = (
-            scan.modelled_seconds()
-            + stats.total_requests * S3_REQUEST_LATENCY_SECONDS
-        ) * getattr(context, "straggler_factor", 1.0)
-        context.charge(modelled_seconds)
-
-        result = WorkerResult(
-            partial={},
-            rows_scanned=scan.counters.rows_scanned,
+        return _map_output(
+            env, event, context, scan, rows, [side_plan.key],
             rows_after_filter=table_num_rows(rows),
-            get_requests=scan.statistics.get_requests,
-            bytes_read=scan.statistics.bytes_read,
-            duration_seconds=modelled_seconds,
-            exchange_stats=stats.to_dict(),
         )
-        message = {
-            "query_id": query_id,
-            "worker_id": worker_id,
-            "side": side,
-            "status": "ok",
-            "attempt": attempt,
-            "format": "combined" if combined_written else "objects",
-            "rows_scanned": scan.counters.rows_scanned,
-            "partitions_written": written,
-            "worker_result": result.to_payload(),
-        }
-        if combined_written:
-            # The offset directory rides in the key; shipping the path through
-            # the driver's map barrier lets the join wave skip discovery LISTs
-            # entirely (zero requests beyond the ranged slice GETs).
-            message["combined_path"] = path
-            message["combined_size"] = len(payload)
-        if integrity.generate:
-            sign_message(message)
-        env.sqs.send_json(event["result_queue"], message)
-        return message
 
     return _guarded(env, handler)
-
-
-def _emit_intermediate(
-    env: CloudEnvironment,
-    event: Dict,
-    context: InvocationContext,
-    joined: Table,
-    stats: ExchangeStats,
-    istats: IntegrityStats,
-    objects_read: int,
-    probe_rows: int,
-    build_rows: int,
-    integrity: IntegrityConfig,
-) -> Dict:
-    """Repartition a non-final join wave's output back into the exchange.
-
-    A middle DAG stage does not return rows to the driver: it prunes the
-    joined rows to the columns later stages still need, scatters them by the
-    *next* stage's probe key under the intermediate tag (``J{k}``), and
-    announces the combined object's offset-bearing path through the result
-    queue — so the next join wave reads its slices with zero discovery
-    requests, exactly like a scan-side mapper with the join output as its
-    "scan".  Zero joined rows cost zero PUTs (format ``"empty"``).
-    """
-    query_id = event["query_id"]
-    partition = event["partition"]
-    attempt = int(event.get("attempt", 0))
-    emit = event["emit"]
-    emit_tag = emit["tag"]
-    emit_key = emit["key"]
-    emit_partitions = int(emit.get("num_partitions", event["num_partitions"]))
-    out_columns = list(emit.get("columns") or [])
-    write_combining = bool(event.get("write_combining", True))
-    fast_codec = bool(event.get("fast_codec", True))
-    compression = Compression(event.get("compression", Compression.FAST.value))
-    num_buckets = int(event.get("num_buckets", 10))
-
-    rows = joined
-    if out_columns and table_num_rows(joined):
-        rows = select_columns(joined, out_columns)
-
-    written = 0
-    combined_written = False
-    path = None
-    payload_len = 0
-    if table_num_rows(rows):
-        assignment = partition_assignments(rows, [emit_key], emit_partitions)
-        reordered, boundaries = scatter_by_assignment(rows, assignment, emit_partitions)
-        if write_combining:
-            naming = _join_map_naming(query_id, emit_tag, num_buckets, attempt)
-            payload, offsets = encode_partition_set(
-                reordered, boundaries, compression, checksum=integrity.generate
-            )
-            crcs = _slice_crcs(payload, offsets) if integrity.generate else None
-            try:
-                path = naming.combined_path(partition, offsets, crcs)
-            except ExchangeError:
-                # Offset directory overflows the S3 key limit: fall back to
-                # per-receiver objects for this emitter.
-                path = None
-            else:
-                env.s3.put_path(path, payload)
-                stats.put_requests += 1
-                stats.combined_put_requests += 1
-                stats.bytes_written += len(payload)
-                payload_len = len(payload)
-                written = 1
-                combined_written = True
-        if not combined_written:
-            naming = _join_legacy_naming(query_id, emit_tag, num_buckets, attempt)
-            for receiver in range(emit_partitions):
-                data = serialize_partition(
-                    slice_partition(reordered, boundaries, receiver),
-                    compression,
-                    fast=fast_codec,
-                    checksum=integrity.generate,
-                )
-                if not data:
-                    stats.empty_parts_elided += 1
-                    continue
-                env.s3.put_path(naming.path(partition, receiver), data)
-                stats.put_requests += 1
-                stats.bytes_written += len(data)
-                written += 1
-
-    modelled_seconds = (
-        0.1
-        + 0.001 * objects_read
-        + stats.total_requests * S3_REQUEST_LATENCY_SECONDS
-    ) * getattr(context, "straggler_factor", 1.0)
-    context.charge(modelled_seconds)
-
-    result = WorkerResult(
-        partial={},
-        rows_output=table_num_rows(rows),
-        join_probe_rows=probe_rows,
-        join_build_rows=build_rows,
-        join_output_rows=table_num_rows(joined),
-        duration_seconds=modelled_seconds,
-        exchange_stats=stats.to_dict(),
-        integrity_stats=istats.to_dict(),
-    )
-    if combined_written:
-        out_format = "combined"
-    elif written:
-        out_format = "objects"
-    else:
-        out_format = "empty"
-    message = {
-        "query_id": query_id,
-        "worker_id": partition,
-        "status": "ok",
-        "attempt": attempt,
-        "objects_read": objects_read,
-        "format": out_format,
-        "partitions_written": written,
-        "worker_result": result.to_payload(),
-    }
-    if event.get("side") is not None:
-        message["side"] = event["side"]
-    if combined_written:
-        message["combined_path"] = path
-        message["combined_size"] = payload_len
-    if integrity.generate:
-        sign_message(message)
-    env.sqs.send_json(event["result_queue"], message)
-    return message
 
 
 def _make_join_reduce_handler(env: CloudEnvironment):
@@ -1734,22 +1426,23 @@ def _make_join_reduce_handler(env: CloudEnvironment):
     two-sided predicate, computes the partial aggregates placed above the
     join, and returns the partials (or the joined rows for aggregate-free
     queries) to the driver.
+
+    A middle DAG stage (an event with ``emit``) returns no rows to the
+    driver: it prunes the joined rows to the columns later stages still
+    need, scatters them by the *next* stage's probe key under the
+    intermediate tag (``J{k}``), and announces what it wrote through the
+    result queue — so the next join wave reads its slices with zero
+    discovery requests, exactly like a scan-side mapper with the join output
+    as its "scan".  Zero joined rows cost zero PUTs (format ``"empty"``).
     """
 
     def handler(event: Dict, context: InvocationContext) -> Dict:
-        import json
-
-        query_id = event["query_id"]
         partition = event["partition"]
-        attempt = int(event.get("attempt", 0))
-        num_partitions = event["num_partitions"]
         group_by = list(event["group_by"])
         partials_specs = [AggregateSpec.from_dict(item) for item in event["aggregates"]]
         residual = expression_from_dict(event.get("residual_predicate"))
         collect_rows = bool(event.get("collect_rows", False))
         suffix = event.get("suffix", "_right")
-        num_buckets = int(event.get("num_buckets", 10))
-        max_poll_rounds = int(event.get("max_poll_rounds", 10))
         integrity = IntegrityConfig.from_dict(event.get("integrity"))
         istats = IntegrityStats()
 
@@ -1762,22 +1455,8 @@ def _make_join_reduce_handler(env: CloudEnvironment):
             # side of stage k>0 is the previous stage's intermediate
             # ("J{k-1}"), the build side a scan fleet ("R{k}").  Binary
             # joins omit the tag and keep the historical "L"/"R" prefixes.
-            tag = spec.get("tag", side)
             pieces, side_objects = _collect_partition_pieces(
-                env,
-                _join_map_naming(query_id, tag, num_buckets),
-                lambda map_attempt, tag=tag: _join_legacy_naming(
-                    query_id, tag, num_buckets, map_attempt
-                ),
-                spec.get("combined", []),
-                spec.get("combined_senders", []),
-                spec.get("object_senders", []),
-                partition,
-                num_partitions,
-                max_poll_rounds,
-                stats,
-                verify=integrity.verify,
-                integrity=istats,
+                env, event, spec, spec.get("tag", side), stats, istats
             )
             objects_read += side_objects
             side_tables[side] = concat_tables(pieces) if pieces else {}
@@ -1809,76 +1488,39 @@ def _make_join_reduce_handler(env: CloudEnvironment):
             joined = {}
         output_rows = table_num_rows(joined)
 
-        if event.get("emit") is not None:
-            return _emit_intermediate(
-                env,
-                event,
-                context,
-                joined,
-                stats,
-                istats,
-                objects_read,
-                probe_rows,
-                build_rows,
-                integrity,
-            )
-
-        if collect_rows:
-            partial_table = joined
+        emit = event.get("emit")
+        announce: Dict = {}
+        if emit is not None:
+            output = joined
+            if emit.get("columns") and output_rows:
+                output = select_columns(joined, list(emit["columns"]))
+            announce = {"format": "empty", "partitions_written": 0}
+            if table_num_rows(output):
+                announce = _write_exchange(
+                    env, event, partition, emit["tag"], output, [emit["key"]],
+                    int(emit.get("num_partitions", event["num_partitions"])),
+                    stats, integrity,
+                )
+        elif collect_rows:
+            output = joined
         else:
-            partial_table = partial_aggregate(joined, group_by, partials_specs)
-        modelled_seconds = (
-            0.1
-            + 0.001 * objects_read
-            + stats.total_requests * S3_REQUEST_LATENCY_SECONDS
-        ) * getattr(context, "straggler_factor", 1.0)
-        context.charge(modelled_seconds)
-
-        result = WorkerResult(
-            partial={},
-            rows_output=table_num_rows(partial_table),
+            output = partial_aggregate(joined, group_by, partials_specs)
+        result = _reduce_result(
+            context, output, objects_read, stats, istats,
             join_probe_rows=probe_rows,
             join_build_rows=build_rows,
             join_output_rows=output_rows,
-            duration_seconds=modelled_seconds,
-            exchange_stats=stats.to_dict(),
-            integrity_stats=istats.to_dict(),
         )
-        payload = {
-            "query_id": query_id,
-            "worker_id": partition,
-            "status": "ok",
-            "attempt": attempt,
-            "objects_read": objects_read,
-            "worker_result": result.to_payload(),
-            "result": encode_table(partial_table, checksum=integrity.generate),
-        }
-        if event.get("side") is not None:
-            payload["side"] = event["side"]
-        if integrity.generate:
-            sign_message(payload)
-        encoded = json.dumps(payload).encode("utf-8")
-        if len(encoded) > RESULT_SPILL_BYTES:
-            env.s3.ensure_bucket(RESULT_BUCKET)
-            spill_key = f"{query_id}/join-{partition}.a{attempt}.json"
-            env.s3.put_object(RESULT_BUCKET, spill_key, encoded)
-            pointer = {
-                "query_id": query_id,
-                "worker_id": partition,
-                "status": "ok",
-                "attempt": attempt,
-                "objects_read": objects_read,
-                "worker_result": result.to_payload(),
-                "result_s3": f"s3://{RESULT_BUCKET}/{spill_key}",
-            }
-            if event.get("side") is not None:
-                pointer["side"] = event["side"]
-            if integrity.generate:
-                sign_message(pointer)
-            env.sqs.send_json(event["result_queue"], pointer)
-        else:
-            env.sqs.send_message(event["result_queue"], encoded.decode("utf-8"))
-        return payload
+        message = _reply(
+            event,
+            partition,
+            objects_read=objects_read,
+            worker_result=result.to_payload(),
+            **announce,
+        )
+        if emit is not None:
+            return _post(env, event, message, integrity)
+        return _send_result(env, event, message, output, "join", integrity)
 
     return _guarded(env, handler)
 
@@ -1954,35 +1596,15 @@ class ShuffleJoinCoordinator(_ResilientWaves):
        aggregates, order, and limit.
 
     Consumed intermediates are garbage-collected as soon as the wave that
-    read them completes, and a multi-stage query ends with a sweep of its
-    whole exchange prefix, so retried attempts leave no orphaned objects.
+    read them completes, and the query ends with a sweep of its whole
+    exchange prefix, so retried attempts leave no orphaned objects.
     """
 
-    def __init__(
-        self,
-        env: CloudEnvironment,
-        memory_mib: int = 2048,
-        num_buckets: int = 10,
-        result_queue: str = JOIN_RESULT_QUEUE,
-        config: Optional[ShuffleConfig] = None,
-        resilience_policy: Optional[ResiliencePolicy] = None,
-    ):
-        self.env = env
-        self.memory_mib = memory_mib
-        self.num_buckets = num_buckets
-        self.result_queue = result_queue
-        self.config = config or ShuffleConfig()
-        self.resilience_policy = resilience_policy or DEFAULT_RESILIENCE_POLICY
-        self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
-        env.sqs.create_queue(result_queue)
-        env.lambda_service.deploy(
-            FunctionConfig(name=JOIN_MAP_FUNCTION_NAME, memory_mib=memory_mib),
-            _make_join_map_handler(env),
-        )
-        env.lambda_service.deploy(
-            FunctionConfig(name=JOIN_REDUCE_FUNCTION_NAME, memory_mib=memory_mib),
-            _make_join_reduce_handler(env),
-        )
+    RESULT_QUEUE = JOIN_RESULT_QUEUE
+    FUNCTIONS = (
+        (JOIN_MAP_FUNCTION_NAME, _make_join_map_handler),
+        (JOIN_REDUCE_FUNCTION_NAME, _make_join_reduce_handler),
+    )
 
     # -- execution ------------------------------------------------------------------
 
@@ -2008,10 +1630,9 @@ class ShuffleJoinCoordinator(_ResilientWaves):
         ``"L"``/``"R"`` exchange tags.
 
         ``cancel``/``breakers``/``budget``/``now_fn`` arm the overload plane
-        for this query (see :class:`_ResilientWaves`); a cancellation raised
-        mid-wave garbage-collects every tag's exchange objects (scan sides
-        and intermediates alike — they all live under the query prefix) and
-        purges the query's result-queue messages before propagating.
+        for this query; see :meth:`_ResilientWaves._run_query` for the
+        cancellation GC (every tag's objects live under the query prefix)
+        and the end-of-query sweep.
         """
         dag = physical.as_dag()
         fleets: Dict[str, JoinSidePlan] = {"L": dag.base}
@@ -2024,7 +1645,7 @@ class ShuffleJoinCoordinator(_ResilientWaves):
 
         paths: Dict[str, List[str]] = {}
         for tag, plan in fleets.items():
-            expanded = self._expand(plan.files)
+            expanded = expand_paths(self.env.s3, plan.files)
             if not expanded:
                 label = "left" if tag == "L" else "right"
                 raise ExecutionError(f"join {label} side has no input files")
@@ -2035,39 +1656,13 @@ class ShuffleJoinCoordinator(_ResilientWaves):
             for tag in fleets
         }
         num_partitions = num_workers or max(mappers.values())
-
-        query_id = uuid.uuid4().hex[:12]
-        namings = []
-        for tag in list(fleets) + inter_tags:
-            namings.extend(
-                (
-                    _join_map_naming(query_id, tag, self.num_buckets),
-                    _join_legacy_naming(query_id, tag, self.num_buckets),
-                )
-            )
-        seen_buckets: Set[str] = set()
-        for naming in namings:
-            for bucket in naming.buckets():
-                if bucket not in seen_buckets:
-                    seen_buckets.add(bucket)
-                    self.env.s3.ensure_bucket(bucket)
-
-        # Per-query jitter reseed: backoff schedules must not depend on how
-        # many queries this coordinator ran before (order-independent chaos).
-        self._jitter_rng = random.Random(self.resilience_policy.jitter_seed)
-        self._arm_overload(cancel, breakers, budget, now_fn)
-        if cancel is not None and now_fn is not None:
-            cancel.bind(now_fn, query_id=query_id)
-        try:
-            return self._execute_waves(
+        return self._run_query(
+            lambda query_id: self._execute_waves(
                 dag, fleets, build_tags, inter_tags, paths, mappers,
                 num_partitions, query_id,
-            )
-        except QueryCancelledError:
-            _gc_cancelled_query(self.env, query_id, namings, self.result_queue)
-            raise
-        finally:
-            self._arm_overload()
+            ),
+            cancel, breakers, budget, now_fn,
+        )
 
     def _execute_waves(
         self,
@@ -2080,10 +1675,9 @@ class ShuffleJoinCoordinator(_ResilientWaves):
         num_partitions: int,
         query_id: str,
     ):
-        """The wave body of :meth:`execute` (split out for cancellation GC)."""
+        """The wave body of :meth:`execute`."""
         resilience = ResilienceStats()
         integrity_stats = IntegrityStats()
-        fault_snapshot = self._fault_snapshot()
         num_stages = len(dag.stages)
 
         # -- scan wave (every relation's fleet dispatched together) ----------------
@@ -2098,60 +1692,30 @@ class ShuffleJoinCoordinator(_ResilientWaves):
                 # (with the worker's file assignment substituted in).
                 fragment = plan.to_dict()
                 fragment["files"] = files
-                map_events[(tag, worker_id)] = {
+                map_events[(tag, worker_id)] = self._event(
+                    query_id,
+                    num_partitions,
                     **fragment,
-                    "query_id": query_id,
-                    "worker_id": worker_id,
-                    "side": tag,
-                    "attempt": 0,
-                    "num_partitions": num_partitions,
-                    "result_queue": self.result_queue,
-                    "write_combining": self._map_mode(tag, worker_id),
-                    "fast_codec": self.config.fast_codec,
-                    "compression": self.config.compression.value,
-                    "num_buckets": self.num_buckets,
-                    "integrity": self.config.integrity.to_dict(),
-                }
+                    worker_id=worker_id,
+                    side=tag,
+                    write_combining=self._map_mode(tag, worker_id),
+                )
         map_messages = self._wave(
             JOIN_MAP_FUNCTION_NAME, map_events, query_id, "join map", resilience,
             on_retry=self._degrade_map_retry(resilience),
             integrity=integrity_stats,
         )
-
-        def sender_spec(
-            key: str, tag: str, messages: List[Dict], side: Optional[str] = None
-        ) -> Dict:
-            # ``tag`` names the exchange prefix the objects live under;
-            # ``side`` the wave key their announcements carried (an emit
-            # wave's messages are keyed "S{k}" but write under "J{k}").
-            tagged = [m for m in messages if m.get("side") == (side or tag)]
-            return {
-                "key": key,
-                "tag": tag,
-                # Combined objects are announced with their offset-bearing
-                # paths: the join wave needs no discovery requests for them,
-                # and an orphaned earlier-attempt duplicate is never read.
-                "combined": sorted(
-                    [m["worker_id"], m["combined_path"], m["combined_size"]]
-                    for m in tagged
-                    if m.get("format") == "combined"
-                ),
-                # Legacy senders as (sender, attempt) pairs: retried writers
-                # wrote under attempt-suffixed prefixes.  ``"empty"`` senders
-                # (an emit stage that joined zero rows) wrote nothing and are
-                # announced in neither list.
-                "object_senders": sorted(
-                    [m["worker_id"], int(m.get("attempt", 0))]
-                    for m in tagged
-                    if m.get("format") == "objects"
-                ),
-            }
-
         rows_scanned = sum(message.get("rows_scanned", 0) for message in map_messages)
         objects_written = sum(message.get("partitions_written", 0) for message in map_messages)
 
         # -- join waves (one per DAG stage, chained through the exchange) ----------
-        left_spec = sender_spec(dag.stages[0].left_key, "L", map_messages)
+        # ``tag`` names the exchange prefix a side's objects live under; the
+        # manifest selects the announcing messages by their wave key (an
+        # emit wave's messages are keyed "S{k}" but write under "J{k}").
+        left_spec = {
+            "key": dag.stages[0].left_key, "tag": "L",
+            **_sender_manifest(map_messages, "L"),
+        }
         reduce_waves: List[List[Dict]] = []
         objects_read = 0
         gc_deleted = 0
@@ -2165,35 +1729,28 @@ class ShuffleJoinCoordinator(_ResilientWaves):
                     "num_partitions": num_partitions,
                     "columns": list(stage.output_columns),
                 }
+            right_spec = {
+                "key": stage.right.key, "tag": build_tags[k],
+                **_sender_manifest(map_messages, build_tags[k]),
+            }
             reduce_events: Dict = {}
             for partition in range(num_partitions):
-                reduce_events[(f"S{k}", partition)] = {
-                    "query_id": query_id,
-                    "partition": partition,
-                    "side": f"S{k}",
-                    "attempt": 0,
-                    "num_partitions": num_partitions,
-                    "sides": {
-                        "L": left_spec,
-                        "R": sender_spec(stage.right.key, build_tags[k], map_messages),
-                    },
-                    "group_by": list(dag.group_by) if final else [],
-                    "aggregates": (
+                reduce_events[(f"S{k}", partition)] = self._event(
+                    query_id,
+                    num_partitions,
+                    partition=partition,
+                    side=f"S{k}",
+                    sides={"L": left_spec, "R": right_spec},
+                    group_by=list(dag.group_by) if final else [],
+                    aggregates=(
                         [spec.to_dict() for spec in dag.aggregates] if final else []
                     ),
-                    "residual_predicate": expression_to_dict(stage.residual_predicate),
-                    "collect_rows": dag.driver.collect_rows if final else False,
-                    "suffix": stage.suffix,
-                    "restore_right_key": stage.restore_right_key,
-                    "emit": emit,
-                    "result_queue": self.result_queue,
-                    "num_buckets": self.num_buckets,
-                    "max_poll_rounds": self.config.max_poll_rounds,
-                    "integrity": self.config.integrity.to_dict(),
-                    "write_combining": self.config.write_combining,
-                    "fast_codec": self.config.fast_codec,
-                    "compression": self.config.compression.value,
-                }
+                    residual_predicate=expression_to_dict(stage.residual_predicate),
+                    collect_rows=dag.driver.collect_rows if final else False,
+                    suffix=stage.suffix,
+                    restore_right_key=stage.restore_right_key,
+                    emit=emit,
+                )
             reduce_messages = self._wave(
                 JOIN_REDUCE_FUNCTION_NAME, reduce_events, query_id,
                 "join" if final else f"join stage {k}", resilience,
@@ -2206,75 +1763,22 @@ class ShuffleJoinCoordinator(_ResilientWaves):
                 objects_written += sum(
                     m.get("partitions_written", 0) for m in reduce_messages
                 )
-                left_spec = sender_spec(
-                    dag.stages[k + 1].left_key, inter_tags[k], reduce_messages,
-                    side=f"S{k}",
-                )
+                left_spec = {
+                    "key": dag.stages[k + 1].left_key, "tag": inter_tags[k],
+                    **_sender_manifest(reduce_messages, f"S{k}"),
+                }
             if k > 0:
                 # Stage k has fully consumed the previous intermediate: drop
                 # its objects now so peak exchange storage stays bounded by
                 # two live stages, not the whole DAG.
-                gc_deleted += _gc_tag_objects(
-                    self.env, query_id, inter_tags[k - 1], self.num_buckets,
-                    self.resilience_policy.max_attempts,
+                gc_deleted += _sweep_exchange(
+                    self.env, query_id, self.num_buckets, tag=inter_tags[k - 1]
                 )
-        if num_stages > 1:
-            # End-of-query sweep: superseded attempts of any tag (scan sides
-            # included) may have left orphans the per-stage GC and the
-            # announced-path manifests never referenced.  Both naming planes
-            # must be swept — a degraded retry writes one-object-per-receiver
-            # keys into the legacy buckets, not the write-combined ones.
-            gc_deleted += _gc_query_objects(
-                self.env, query_id,
-                [
-                    _join_map_naming(query_id, "L", self.num_buckets),
-                    _join_legacy_naming(query_id, "L", self.num_buckets),
-                ],
-            )
 
-        # -- fold statistics ---------------------------------------------------------
-        exchange = ExchangeStats()
-        wave_seconds = {"map": 0.0, "reduce": 0.0}
-        worker_results: List[WorkerResult] = []
-        counters = {"probe": 0, "build": 0, "output": 0}
-        folds = [("map", map_messages)]
-        folds.extend(("reduce", messages) for messages in reduce_waves)
-        for wave, messages in folds:
-            wave_max = 0.0
-            for message in messages:
-                payload = message.get("worker_result")
-                if not payload:
-                    continue
-                parsed = WorkerResult.from_payload(payload)
-                worker_results.append(parsed)
-                exchange.merge(ExchangeStats.from_dict(parsed.exchange_stats))
-                integrity_stats.merge(IntegrityStats.from_dict(parsed.integrity_stats))
-                wave_max = max(wave_max, parsed.duration_seconds)
-                counters["probe"] += parsed.join_probe_rows
-                counters["build"] += parsed.join_build_rows
-                counters["output"] += parsed.join_output_rows
-            if wave == "map":
-                wave_seconds["map"] = max(wave_seconds["map"], wave_max)
-            else:
-                # Join waves are barriered on each other: their modelled
-                # latencies add, while workers within one wave run abreast.
-                wave_seconds["reduce"] += wave_max
-
-        # -- driver scope ------------------------------------------------------------
-        partials: List[Table] = []
-        for message in reduce_waves[-1]:
-            if "result_s3" in message:
-                message = self._fetch_spilled(
-                    message["result_s3"], resilience, integrity_stats
-                )
-            partials.append(
-                decode_table(
-                    message["result"],
-                    verify=self.config.integrity.verify,
-                    key=f"join-{message.get('worker_id')}",
-                )
-            )
-
+        # -- fold statistics and the driver scope --------------------------------------
+        exchange, worker_results, wave_seconds, partials = self._fold(
+            [map_messages] + reduce_waves, resilience, integrity_stats, "join"
+        )
         driver_plan = dag.driver
         if driver_plan.collect_rows:
             result = concat_tables([piece for piece in partials if table_num_rows(piece)])
@@ -2294,7 +1798,6 @@ class ShuffleJoinCoordinator(_ResilientWaves):
             count = min(driver_plan.limit, table_num_rows(result))
             result = {name: np.asarray(column)[:count] for name, column in result.items()}
 
-        resilience.faults_injected = _fault_delta(self.env, fault_snapshot)
         statistics = JoinStatistics(
             left_map_workers=len(assignments["L"]),
             right_map_workers=sum(
@@ -2302,15 +1805,17 @@ class ShuffleJoinCoordinator(_ResilientWaves):
             ),
             reduce_workers=num_partitions * num_stages,
             rows_scanned=rows_scanned,
-            join_probe_rows=counters["probe"],
-            join_build_rows=counters["build"],
-            join_output_rows=counters["output"],
+            join_probe_rows=sum(r.join_probe_rows for r in worker_results),
+            join_build_rows=sum(r.join_build_rows for r in worker_results),
+            join_output_rows=sum(r.join_output_rows for r in worker_results),
             result_rows=table_num_rows(result),
             partition_objects_written=objects_written,
             partition_objects_read=objects_read,
             exchange=exchange,
-            modelled_map_seconds=wave_seconds["map"],
-            modelled_reduce_seconds=wave_seconds["reduce"],
+            modelled_map_seconds=wave_seconds[0],
+            # Join waves are barriered on each other: their modelled
+            # latencies add, while workers within one wave run abreast.
+            modelled_reduce_seconds=sum(wave_seconds[1:]),
             resilience=resilience,
             integrity=integrity_stats,
             dag_stages=num_stages,

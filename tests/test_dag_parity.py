@@ -31,8 +31,9 @@ from repro.driver.driver import LambadaDriver
 from repro.driver.resilience import ResiliencePolicy
 from repro.driver.shuffle import (
     JOIN_RESULT_QUEUE,
-    _join_legacy_naming,
-    _join_map_naming,
+    ShuffleConfig,
+    _combined_naming,
+    _legacy_naming,
 )
 from repro.errors import QueryCancelledError
 from repro.workload.queries import (
@@ -89,8 +90,8 @@ def _exchange_object_count(env) -> int:
     """Objects across both join-exchange bucket layouts (query-independent)."""
     buckets = set()
     for naming in (
-        _join_map_naming("x", "L", NUM_BUCKETS),
-        _join_legacy_naming("x", "L", NUM_BUCKETS),
+        _combined_naming("x", NUM_BUCKETS),
+        _legacy_naming("x", NUM_BUCKETS),
     ):
         buckets.update(naming.buckets())
     total = 0
@@ -274,6 +275,37 @@ def test_q5_chaos_parity(stack, plans, drivers, q5_baseline, seed):
     # sweep must still leave the shared exchange buckets empty.
     assert _exchange_object_count(env) == 0, f"{label}: orphaned exchange objects"
     assert leaked_segments() == []
+
+
+def test_q5_legacy_plane_intermediates_dropped_per_stage(
+    stack, plans, references, monkeypatch
+):
+    """With ``write_combining=False`` every intermediate lives on the legacy
+    plane; each is still deleted once the next join wave consumed it, so
+    only two stages are ever live: when the final join wave starts, no
+    intermediate but the one it reads remains."""
+    env = stack[0]
+    driver = LambadaDriver(env, shuffle_config=ShuffleConfig(write_combining=False))
+    tags_at_final_wave = []
+    original = shuffle_module._run_wave
+
+    def spy(*args, **kwargs):
+        query_id, what = args[4], args[5]
+        if what == "join":
+            for bucket in env.s3.list_buckets():
+                if bucket.startswith("shuffle-b"):
+                    for meta in env.s3.list_objects(bucket, prefix=f"{query_id}/"):
+                        tags_at_final_wave.extend(meta.key.split("/")[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(shuffle_module, "_run_wave", spy)
+    result = driver.execute(plans["q5"])
+    assert_bit_identical(references["q5"], result.table, "q5/legacy")
+    consumed = {f"J{k}" for k in range(result.statistics.dag_stages - 2)}
+    assert consumed, "q5 should chain at least two intermediates"
+    assert f"J{result.statistics.dag_stages - 2}" in tags_at_final_wave
+    assert consumed.isdisjoint(tags_at_final_wave)
+    assert _exchange_object_count(env) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,15 @@ def assert_tables_match(table, reference, label=""):
 # Parity of the three queries (driver plan path)
 # ---------------------------------------------------------------------------
 
-def test_q3_matches_reference(driver, dataset, orders_dataset, lineitem_table, orders_table):
+def test_q3_matches_reference(
+    env, driver, dataset, orders_dataset, lineitem_table, orders_table
+):
     result = driver.execute(q3_plan(dataset.paths, orders_dataset.paths))
     assert_tables_match(result.table, reference_q3(lineitem_table, orders_table), "q3")
+    # The end-of-query sweep leaves no exchange object behind.
+    assert result.statistics.gc_objects_deleted > 0
+    exchange_buckets = [b for b in env.s3.list_buckets() if b.startswith("shuffle-b")]
+    assert sum(env.s3.object_count(b) for b in exchange_buckets) == 0
 
 
 def test_q12_matches_reference(driver, dataset, orders_dataset, lineitem_table, orders_table):

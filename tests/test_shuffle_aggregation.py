@@ -102,6 +102,10 @@ def test_legacy_path_writes_one_object_per_pair(env, dataset, lineitem_table):
     assert statistics.partition_objects_read == statistics.partition_objects_written
     reference = _reference_group_sum(lineitem_table, "l_orderkey", "l_quantity")
     assert statistics.result_rows == len(reference)
+    # The end-of-query sweep deletes every legacy-plane object the map wrote.
+    assert statistics.gc_objects_deleted == statistics.partition_objects_written
+    shuffle_buckets = [b for b in env.s3.list_buckets() if b.startswith("shuffle-b")]
+    assert sum(env.s3.object_count(b) for b in shuffle_buckets) == 0
 
 
 def test_partition_files_spread_over_buckets(env, dataset, coordinator):
@@ -111,7 +115,7 @@ def test_partition_files_spread_over_buckets(env, dataset, coordinator):
         aggregates=[AggregateSpec("sum", col("l_quantity"), "s")],
     )
     shuffle_buckets = [b for b in env.s3.list_buckets() if b.startswith("shuffle-b")]
-    used = [b for b in shuffle_buckets if env.s3.object_count(b) > 0]
+    used = [b for b in shuffle_buckets if env.s3.request_counts[b]["put"] > 0]
     assert len(used) == 4
 
 
