@@ -13,8 +13,8 @@ builds on:
 * :class:`~repro.cloud.lambda_service.LambdaService` — a FaaS runtime that
   executes registered handlers in-process while modelling memory-proportional
   CPU shares, cold starts, invocation latency, and per-duration billing.
-* :class:`~repro.cloud.metering.MeteringLedger` — a ledger of every billable
-  event, used by the cost analyses.
+* :class:`~repro.cloud.metering.MeteringLedger` — running totals of every
+  billable dimension, used by the cost analyses.
 
 All services share a :class:`~repro.cloud.clock.VirtualClock` so that the
 benchmark harness can report latencies at the paper's scale without running in
@@ -22,7 +22,7 @@ real time.
 """
 
 from repro.cloud.clock import VirtualClock
-from repro.cloud.metering import MeteringLedger, UsageRecord
+from repro.cloud.metering import MeteringLedger
 from repro.cloud.pricing import PriceList, DEFAULT_PRICES
 from repro.cloud.s3 import ObjectStore, ObjectMetadata, GetResult
 from repro.cloud.dynamodb import KeyValueStore
@@ -39,7 +39,6 @@ from repro.cloud.environment import CloudEnvironment
 __all__ = [
     "VirtualClock",
     "MeteringLedger",
-    "UsageRecord",
     "PriceList",
     "DEFAULT_PRICES",
     "ObjectStore",

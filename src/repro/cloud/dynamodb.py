@@ -80,13 +80,13 @@ class KeyValueStore:
             if if_not_exists and key in self._tables[table]:
                 raise ConditionalCheckFailedError(key)
             self._tables[table][key] = copy.deepcopy(item)
-            self.ledger.record("dynamodb", "write_units", 1, self.clock.now)
+            self.ledger.record("dynamodb", "write_units", 1)
 
     def get_item(self, table: str, key: str) -> Optional[Dict[str, Any]]:
         """Fetch an item, or ``None`` if the key is absent."""
         with self._lock:
             self._require_table(table)
-            self.ledger.record("dynamodb", "read_units", 1, self.clock.now)
+            self.ledger.record("dynamodb", "read_units", 1)
             item = self._tables[table].get(key)
             return copy.deepcopy(item) if item is not None else None
 
@@ -95,13 +95,13 @@ class KeyValueStore:
         with self._lock:
             self._require_table(table)
             self._tables[table].pop(key, None)
-            self.ledger.record("dynamodb", "write_units", 1, self.clock.now)
+            self.ledger.record("dynamodb", "write_units", 1)
 
     def scan(self, table: str) -> Dict[str, Dict[str, Any]]:
         """Return a copy of all items in the table keyed by their key."""
         with self._lock:
             self._require_table(table)
-            self.ledger.record("dynamodb", "read_units", max(1, len(self._tables[table])), self.clock.now)
+            self.ledger.record("dynamodb", "read_units", max(1, len(self._tables[table])))
             return copy.deepcopy(self._tables[table])
 
     def increment(self, table: str, key: str, field: str, amount: int = 1) -> int:
@@ -113,7 +113,7 @@ class KeyValueStore:
             self._require_table(table)
             item = self._tables[table].setdefault(key, {})
             item[field] = int(item.get(field, 0)) + amount
-            self.ledger.record("dynamodb", "write_units", 1, self.clock.now)
+            self.ledger.record("dynamodb", "write_units", 1)
             return item[field]
 
     def item_count(self, table: str) -> int:

@@ -196,8 +196,9 @@ class LambdaService:
         self._active = 0
         self._next_invocation_id = 0
         self._lock = threading.RLock()
-        #: All invocation results in order, for post-hoc analysis.
-        self.invocation_log: List[InvocationResult] = []
+        #: Running totals of every invocation metered (count, billed cost).
+        self._invocations = 0
+        self._billed_cost = 0.0
         #: Optional fault-injection plan (see :mod:`repro.cloud.faults`).
         self.fault_plan = None
 
@@ -344,8 +345,8 @@ class LambdaService:
             )
             duration = config.timeout_seconds
         gib_seconds = config.memory_mib * MiB / GiB * duration
-        self.ledger.record("lambda", "invocations", 1, self.clock.now)
-        self.ledger.record("lambda", "gib_seconds", gib_seconds, self.clock.now)
+        self.ledger.record("lambda", "invocations", 1)
+        self.ledger.record("lambda", "gib_seconds", gib_seconds)
         billed = (
             self.ledger.prices.lambda_duration_cost(config.memory_mib, duration)
             + self.ledger.prices.lambda_invocation_cost(1)
@@ -361,7 +362,8 @@ class LambdaService:
             billed_cost=billed,
         )
         with self._lock:
-            self.invocation_log.append(result)
+            self._invocations += 1
+            self._billed_cost += billed
         return result
 
     def account_invocation(
@@ -377,7 +379,7 @@ class LambdaService:
         processes for real parallelism, but the simulation's performance and
         billing model must stay identical to :meth:`invoke`: cold/warm
         instance bookkeeping, startup latency, timeout clamping, ledger
-        records, billed cost, and the invocation log are all applied here —
+        records, billed cost, and the invocation totals are all applied here —
         only the handler call itself is skipped.  ``cold_penalty`` scales
         ``duration_seconds`` when this invocation lands cold, mirroring the
         execution-slowdown factor the in-process worker handler applies.
@@ -404,8 +406,8 @@ class LambdaService:
             )
             duration = config.timeout_seconds
         gib_seconds = config.memory_mib * MiB / GiB * duration
-        self.ledger.record("lambda", "invocations", 1, self.clock.now)
-        self.ledger.record("lambda", "gib_seconds", gib_seconds, self.clock.now)
+        self.ledger.record("lambda", "invocations", 1)
+        self.ledger.record("lambda", "gib_seconds", gib_seconds)
         billed = (
             self.ledger.prices.lambda_duration_cost(config.memory_mib, duration)
             + self.ledger.prices.lambda_invocation_cost(1)
@@ -421,7 +423,8 @@ class LambdaService:
             billed_cost=billed,
         )
         with self._lock:
-            self.invocation_log.append(result)
+            self._invocations += 1
+            self._billed_cost += billed
         return result
 
     # -- statistics -----------------------------------------------------------
@@ -434,9 +437,9 @@ class LambdaService:
     def total_invocations(self) -> int:
         """Number of invocations performed since creation."""
         with self._lock:
-            return len(self.invocation_log)
+            return self._invocations
 
     def total_billed_cost(self) -> float:
         """Sum of per-invocation billed costs."""
         with self._lock:
-            return sum(result.billed_cost for result in self.invocation_log)
+            return self._billed_cost

@@ -10,34 +10,22 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict
 
 from repro.cloud.pricing import DEFAULT_PRICES, PriceList
 
 
-@dataclass(frozen=True)
-class UsageRecord:
-    """A single billable event.
-
-    ``dimension`` is a dotted name such as ``"s3.get_requests"`` or
-    ``"lambda.gib_seconds"``; ``amount`` is in the natural unit of that
-    dimension (requests, GiB-seconds, bytes...).
-    """
-
-    service: str
-    dimension: str
-    amount: float
-    timestamp: float = 0.0
-    tag: Optional[str] = None
-
-
 class MeteringLedger:
-    """Accumulates :class:`UsageRecord` entries and computes costs."""
+    """Running usage totals per billing dimension, and their dollar cost.
+
+    A dimension is a dotted name such as ``"s3.get_requests"`` or
+    ``"lambda.gib_seconds"``; amounts are in its natural unit (requests,
+    GiB-seconds, bytes...).  Only the totals are kept, so a long session's
+    ledger stays the same size however many requests it meters.
+    """
 
     def __init__(self, prices: PriceList = DEFAULT_PRICES):
         self.prices = prices
-        self._records: List[UsageRecord] = []
         self._totals: Dict[str, float] = defaultdict(float)
         # Services record concurrently when the driver runs the fleet through
         # its thread pool; the read-modify-write on the totals needs a lock.
@@ -45,20 +33,11 @@ class MeteringLedger:
 
     # -- recording ----------------------------------------------------------
 
-    def record(
-        self,
-        service: str,
-        dimension: str,
-        amount: float,
-        timestamp: float = 0.0,
-        tag: Optional[str] = None,
-    ) -> None:
-        """Append a usage record and update the running totals."""
+    def record(self, service: str, dimension: str, amount: float) -> None:
+        """Add ``amount`` to the running total of ``service.dimension``."""
         if amount < 0:
             raise ValueError(f"usage amount must be non-negative, got {amount}")
-        record = UsageRecord(service, dimension, amount, timestamp, tag)
         with self._lock:
-            self._records.append(record)
             self._totals[f"{service}.{dimension}"] += amount
 
     # -- introspection ------------------------------------------------------
@@ -68,23 +47,9 @@ class MeteringLedger:
         with self._lock:
             return self._totals.get(f"{service}.{dimension}", 0.0)
 
-    def records(self) -> Iterator[UsageRecord]:
-        """Iterate over all records in insertion order.
-
-        Returns a snapshot, so iteration is safe while workers on other
-        threads are still recording.
-        """
-        with self._lock:
-            return iter(list(self._records))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
     def reset(self) -> None:
         """Clear all recorded usage (e.g. between benchmark repetitions)."""
         with self._lock:
-            self._records.clear()
             self._totals.clear()
 
     # -- billing ------------------------------------------------------------
@@ -133,12 +98,9 @@ class MeteringLedger:
         )
 
     def merge(self, other: "MeteringLedger") -> None:
-        """Fold another ledger's records into this one."""
-        for record in other.records():
-            self.record(
-                record.service,
-                record.dimension,
-                record.amount,
-                record.timestamp,
-                record.tag,
-            )
+        """Fold another ledger's totals into this one."""
+        with other._lock:
+            totals = dict(other._totals)
+        with self._lock:
+            for key, amount in totals.items():
+                self._totals[key] += amount

@@ -192,8 +192,8 @@ class ObjectStore:
             self._buckets[bucket][key] = payload
             self._metadata[bucket][key] = metadata
             self.request_counts[bucket]["put"] += 1
-            self.ledger.record("s3", "put_requests", 1, self.clock.now)
-            self.ledger.record("s3", "bytes_written", len(payload), self.clock.now)
+            self.ledger.record("s3", "put_requests", 1)
+            self.ledger.record("s3", "bytes_written", len(payload))
             if self.fault_plan is not None:
                 # May raise WorkerCrashError *after* the write landed — the
                 # duplicate-object hazard retried shuffle mappers must survive.
@@ -248,8 +248,8 @@ class ObjectStore:
                 )
             chunk = data[range_start:end]
             self.request_counts[bucket]["get"] += 1
-            self.ledger.record("s3", "get_requests", 1, self.clock.now)
-            self.ledger.record("s3", "bytes_read", len(chunk), self.clock.now)
+            self.ledger.record("s3", "get_requests", 1)
+            self.ledger.record("s3", "bytes_read", len(chunk))
             if corruption in ("bitflip", "truncate"):
                 # In-flight response corruption: metered as the clean transfer
                 # (the bytes were sent; they arrived wrong).
@@ -272,7 +272,7 @@ class ObjectStore:
                     age_seconds=self.clock.now - meta.created_at,
                 )
             self.request_counts[bucket]["get"] += 1
-            self.ledger.record("s3", "get_requests", 1, self.clock.now)
+            self.ledger.record("s3", "get_requests", 1)
             return self._metadata[bucket][key]
 
     def object_exists(self, bucket: str, key: str) -> bool:
@@ -291,7 +291,7 @@ class ObjectStore:
             if self.fault_plan is not None:
                 self.fault_plan.s3_fault("list", bucket)
             self.request_counts[bucket]["list"] += 1
-            self.ledger.record("s3", "list_requests", 1, self.clock.now)
+            self.ledger.record("s3", "list_requests", 1)
             # Filter before sorting: LIST-heavy discovery (exchange receivers)
             # only pays for the keys under its prefix, not the whole bucket.
             matches = [

@@ -93,7 +93,7 @@ class QueueService:
             message = Message(body=body, sent_at=self.clock.now, message_id=self._next_id)
             self._next_id += 1
             self._queues[queue].append(message)
-            self.ledger.record("sqs", "requests", 1, self.clock.now)
+            self.ledger.record("sqs", "requests", 1)
             return message
 
     def send_json(self, queue: str, payload: Any) -> Message:
@@ -110,7 +110,7 @@ class QueueService:
             raise ValueError("max_messages must be at least 1")
         with self._lock:
             self._require_queue(queue)
-            self.ledger.record("sqs", "requests", 1, self.clock.now)
+            self.ledger.record("sqs", "requests", 1)
             received: List[Message] = []
             redeliver: List[Message] = []
             plan = self.fault_plan

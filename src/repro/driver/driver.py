@@ -2,14 +2,16 @@
 
 The driver deploys the worker function once ("installation"), then executes
 queries by compiling them, invoking the worker fleet through the two-level
-tree strategy, polling the SQS result queue, and merging the partial results
-locally (the driver scope of the physical plan).  It reports per-query
-statistics — modelled end-to-end latency and the full dollar-cost breakdown —
-which the evaluation benchmarks consume.
+tree strategy (or the process pool), collecting and retrying it through the
+shared wave loop (:func:`~repro.driver.messages.run_wave`), and merging the
+partial results locally (the driver scope of the physical plan).  It reports
+per-query statistics — modelled end-to-end latency and the full dollar-cost
+breakdown — which the evaluation benchmarks consume.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -37,21 +39,19 @@ from repro.driver.breakers import BreakerBoard, RetryBudget
 from repro.driver.integrity import IntegrityStats
 from repro.driver.invocation import TreeInvocationModel, build_invocation_tree
 from repro.driver.messages import (
+    collect_messages,
     expand_paths,
     fault_delta,
     fault_snapshot,
     fetch_spilled,
-    merge_attempt,
-    parse_message,
+    run_wave,
 )
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
     TRANSIENT_CLOUD_ERRORS,
-    AttemptLog,
     ResiliencePolicy,
     ResilienceStats,
     call_with_backoff,
-    decorrelated_jitter,
     pick_stragglers,
 )
 from repro.driver.worker import (
@@ -75,9 +75,7 @@ from repro.errors import (
     CloudError,
     ExecutionError,
     QueryCancelledError,
-    QueryTimeoutError,
     RetryBudgetExhaustedError,
-    WorkerFailedError,
 )
 from repro.plan.logical import LogicalPlan
 from repro.plan.optimizer import OptimizerReport, optimize
@@ -87,6 +85,10 @@ from repro.plan.physical import (
     PhysicalPlan,
     resolve_udf,
 )
+
+
+class _PoolFallback(Exception):
+    """The process pool cannot run (or keep running) this query."""
 
 
 @dataclass
@@ -341,20 +343,26 @@ class LambadaDriver:
         match the query's prune ranges are skipped entirely, so their workers
         are never invoked (the §5.3 central-statistics optimisation).
 
-        Failed workers are retried up to ``max_worker_retries`` times before
-        the query is aborted with :class:`~repro.errors.WorkerFailedError`.
+        Failed or missing workers of a scan plan are retried up to
+        ``max_worker_retries`` times, and stragglers are hedged, on either
+        plane (SQS or the process pool).  A worker whose last attempt
+        reported an error then aborts the query with
+        :class:`~repro.errors.WorkerFailedError` (carrying its attempt
+        history); one that never reported, with
+        :class:`~repro.errors.QueryTimeoutError`.
 
         Join plans run through the multi-stage shuffle-join schedule, which
         sizes both map waves and the join wave from ``num_workers`` alone:
-        ``files_per_worker`` is not consulted, a failed worker aborts the
-        query without retries (the waves are barriered), and catalog-based
-        file pruning is rejected explicitly (its single-dataset statistics
-        cannot describe two relations).
+        ``files_per_worker`` and ``max_worker_retries`` are not consulted
+        (each wave retries its workers up to
+        ``resilience_policy.max_attempts`` attempts under the same failure
+        rule), and catalog-based file pruning is rejected explicitly (its
+        single-dataset statistics cannot describe two relations).
 
         ``deadline_seconds``/``cancel`` arm cooperative cancellation: the
         query unwinds with a typed
         :class:`~repro.errors.QueryCancelledError` at its next pump point
-        (poll round, retry round, wave round), releasing shared-memory
+        (dispatch, poll round, retry round), releasing shared-memory
         segments and garbage-collecting its S3/SQS state on the way out.
         Each query also draws from a retry budget
         (``resilience_policy.retry_budget``) covering backoff retries, wave
@@ -454,60 +462,20 @@ class LambadaDriver:
         self._active_now = now_fn
         try:
             if self.execution_mode == "processes" and self._pool_supported(physical):
-                pooled = self._execute_pooled(
-                    physical, payloads, report, cold, max_worker_retries,
-                    resilience, snapshot,
-                )
-                if pooled is not None:
-                    return pooled
-                # Pool unavailable (single core / spawn failure / respawn
-                # storm / open invocation breaker): fall through to the
-                # classic serial dispatch below.
-
-            tree = build_invocation_tree(payloads)
-
-            self.env.sqs.purge_queue(self.result_queue)
-            self._invoke_tree(tree, resilience)
-
-            attempt_log = AttemptLog()
-            messages = self._collect_messages(
-                query_id,
-                expected=len(payloads),
-                want={payload["worker_id"] for payload in payloads},
-                raise_on_timeout=max_worker_retries <= 0,
-                integrity=integrity_stats,
-            )
-            by_worker = self._group_messages(
-                messages, resilience=resilience, integrity=integrity_stats
-            )
-            by_worker = self._retry_failures(
-                by_worker, payloads, query_id, max_worker_retries,
-                resilience=resilience, attempt_log=attempt_log,
-                integrity=integrity_stats,
-            )
-            worker_results = self._parse_results(
-                by_worker, expected=len(payloads), attempt_log=attempt_log
-            )
-            worker_results, hedge_billed_seconds = self._hedge_stragglers(
-                worker_results, by_worker, payloads, query_id, resilience,
-                integrity=integrity_stats,
-            )
-
-            table, reduce_value = self._merge(physical, worker_results)
-            statistics = self._build_statistics(
-                physical, worker_results, num_workers=len(payloads), cold=cold,
-                resilience=resilience, fault_snapshot=snapshot,
-                extra_billed_seconds=hedge_billed_seconds,
-                integrity=integrity_stats,
-            )
-            statistics.overload = self._overload_block(budget)
-            return QueryResult(
-                table=table,
-                reduce_value=reduce_value,
-                statistics=statistics,
-                worker_results=worker_results,
-                optimizer_report=report,
-                plan_explain=physical.explain(),
+                try:
+                    return self._run_scan(
+                        physical, payloads, query_id, report, cold,
+                        max_worker_retries, resilience, integrity_stats, snapshot,
+                        pooled=True,
+                    )
+                except _PoolFallback:
+                    # Pool unavailable (single core / spawn failure / respawn
+                    # storm / open invocation breaker): run the query on the
+                    # SQS plane instead.
+                    pass
+            return self._run_scan(
+                physical, payloads, query_id, report, cold, max_worker_retries,
+                resilience, integrity_stats, snapshot, pooled=False,
             )
         except (QueryCancelledError, RetryBudgetExhaustedError):
             # Typed teardown: a query that will never consume its results
@@ -518,6 +486,73 @@ class LambadaDriver:
             self._active_cancel = None
             self._active_budget = None
             self._active_now = None
+
+    def _run_scan(
+        self,
+        physical: PhysicalPlan,
+        payloads: List[Dict],
+        query_id: str,
+        report: Optional[OptimizerReport],
+        cold: bool,
+        max_worker_retries: int,
+        resilience: ResilienceStats,
+        integrity: IntegrityStats,
+        snapshot: Optional[Dict[str, int]],
+        pooled: bool,
+    ) -> QueryResult:
+        """Run the scan fleet on one plane, then the shared result tail.
+
+        The SQS plane (:meth:`_sqs_round`) and the process pool
+        (:meth:`_pool_plane`) differ only in their round function; the wave
+        loop (:func:`~repro.driver.messages.run_wave`), the straggler hedges,
+        the merge and the statistics are the same for both.
+        """
+        events = {payload["worker_id"]: payload for payload in payloads}
+        if pooled:
+            plane = self._pool_plane(payloads, resilience)
+        else:
+            plane = contextlib.nullcontext(
+                self._sqs_round(query_id, resilience, integrity)
+            )
+        with plane as run_round:
+            by_worker = run_wave(
+                self.env, self.function_name, events, self.result_queue,
+                query_id, "pooled" if pooled else "scan", self.resilience_policy,
+                self._jitter_rng, resilience,
+                rounds=max_worker_retries + 1,
+                budget_key="pool_retries" if pooled else "driver_retries",
+                stage="pooled retry" if pooled else "collect",
+                on_retry=self._retry_hook(resilience),
+                verify=self.integrity.verify,
+                integrity=integrity, cancel=self._active_cancel,
+                breakers=self.breakers, budget=self._active_budget,
+                now_fn=self._active_now, run_round=run_round,
+            )
+            self._unspill(by_worker, resilience, integrity)
+            worker_results = [
+                WorkerResult.from_payload(by_worker[worker_id]["result"])
+                for worker_id in sorted(by_worker)
+            ]
+            worker_results, hedge_billed_seconds = self._hedge_stragglers(
+                worker_results, by_worker, events, run_round, resilience, integrity
+            )
+            table, reduce_value = self._merge(physical, worker_results)
+            statistics = self._build_statistics(
+                physical, worker_results, num_workers=len(payloads), cold=cold,
+                resilience=resilience, fault_snapshot=snapshot,
+                extra_billed_seconds=hedge_billed_seconds, integrity=integrity,
+            )
+            statistics.overload = self._overload_block(self._active_budget)
+            if pooled:
+                self._detach_pooled(worker_results)
+        return QueryResult(
+            table=table,
+            reduce_value=reduce_value,
+            statistics=statistics,
+            worker_results=worker_results,
+            optimizer_report=report,
+            plan_explain=physical.explain(),
+        )
 
     def _execute_join(
         self,
@@ -695,161 +730,69 @@ class LambadaDriver:
             self._pool.close()
             self._pool = None
 
-    def _execute_pooled(
-        self,
-        physical: PhysicalPlan,
-        payloads: List[Dict],
-        report: Optional[OptimizerReport],
-        cold: bool,
-        max_worker_retries: int,
-        resilience: Optional[ResilienceStats] = None,
-        fault_snapshot: Optional[Dict[str, int]] = None,
-    ) -> Optional[QueryResult]:
-        """Run the fleet on the process pool; ``None`` means "fall back".
+    @contextlib.contextmanager
+    def _pool_plane(self, payloads: List[Dict], resilience: ResilienceStats):
+        """The process-pool plane: yields its round function for one query.
 
         The SQS control plane is bypassed — worker results come back through
-        shared-memory segments — but the *modelled* statistics are built by
-        the exact same ``_parse_results``/``_merge``/``_build_statistics``
-        tail as the classic path, and every pool task is metered through
-        ``LambdaService.account_invocation``, so invocation cold/warm
-        bookkeeping, the ledger, and the cost model stay identical.
+        shared-memory segments (:meth:`_run_pooled_round`), and every pool
+        task is metered through ``LambdaService.account_invocation``, so
+        cold/warm bookkeeping, the ledger and the cost model match the SQS
+        plane.  A retry round raises :class:`_PoolFallback` (the query reruns
+        on the SQS plane) when the lambda breaker is open or the pool keeps
+        losing children; otherwise a hedge or retry round runs here like the
+        first.  On exit the zero-copy views are released before every
+        segment is unlinked.
         """
         pool = self._ensure_pool()
         if pool is None:
-            return None
-        cancel = self._active_cancel
-        if cancel is not None:
-            # Pre-dispatch pump point: a cancelled query never touches the
-            # pool (no segments to clean up).
-            cancel.check("pooled dispatch")
-        resilience = resilience if resilience is not None else ResilienceStats()
+            raise _PoolFallback
         policy = self.resilience_policy
         respawns_before = pool.stats().get("respawns", 0)
-        attempt_log = AttemptLog()
-        prices = self.env.ledger.prices
-
         all_files = sorted({path for p in payloads for path in p["plan"]["files"]})
         export: Optional[SharedObjectExport] = None
         attached: List[Any] = []
-        by_worker: Dict[int, Dict] = {}
+        messages: List[Dict] = []
+
+        def run_round(batch: Dict, by_key: Dict, kind: str) -> None:
+            respawns = pool.stats().get("respawns", 0) - respawns_before
+            if kind == "retry" and "lambda" in self.breakers.open_services():
+                # Invocation-plane brownout: stop feeding the pool.  Unlike
+                # the respawn-storm path the pool stays up — the breaker
+                # recovers on its own.
+                resilience.note_fallback("processes_to_serial")
+                raise _PoolFallback
+            if kind == "retry" and respawns > policy.pool_respawn_limit:
+                # Respawn storm: the pool keeps losing children mid-query.
+                resilience.pool_respawns = respawns
+                resilience.note_fallback("processes_to_serial")
+                warnings.warn(
+                    f"processes execution mode: {respawns} pool respawns in "
+                    "one query, falling back to serial dispatch",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                self.close()
+                self._pool_unavailable = True
+                raise _PoolFallback
+            answers = self._run_pooled_round(pool, export, list(batch.values()), attached)
+            messages.extend(answers.values())
+            by_key.update(answers)
+            resilience.pool_respawns = pool.stats().get("respawns", 0) - respawns_before
+
         try:
             export = SharedObjectExport.create(self.env.s3, all_files)
-            by_worker.update(self._run_pooled_round(pool, export, payloads, attached))
-            payload_by_worker = {p["worker_id"]: p for p in payloads}
-            sleep = 0.0
-            for _ in range(max_worker_retries):
-                failed = [
-                    payload_by_worker[wid]
-                    for wid, msg in sorted(by_worker.items())
-                    if msg.get("status") != "ok"
-                ]
-                if not failed:
-                    break
-                if cancel is not None:
-                    # Mid-wave pump point: the finally block below unlinks
-                    # every attached segment on the way out.
-                    cancel.check("pooled retry")
-                if "lambda" in self.breakers.open_services():
-                    # Invocation-plane brownout: stop feeding the pool and
-                    # run this query serially.  Unlike the respawn-storm path
-                    # the pool stays up — the breaker recovers on its own.
-                    resilience.note_fallback("processes_to_serial")
-                    return None
-                respawn_delta = pool.stats().get("respawns", 0) - respawns_before
-                if respawn_delta > policy.pool_respawn_limit:
-                    # Respawn storm: the pool keeps losing children mid-query.
-                    # Degrade to serial dispatch instead of thrashing further.
-                    resilience.pool_respawns = respawn_delta
-                    resilience.note_fallback("processes_to_serial")
-                    warnings.warn(
-                        f"processes execution mode: {respawn_delta} pool "
-                        "respawns in one query, falling back to serial dispatch",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    self.close()
-                    self._pool_unavailable = True
-                    return None
-                sleep = decorrelated_jitter(
-                    sleep,
-                    self._jitter_rng,
-                    policy.backoff_base_seconds,
-                    policy.backoff_cap_seconds,
-                )
-                resilience.backoff_seconds += sleep
-                retries: List[Dict] = []
-                for payload in failed:
-                    worker_id = payload["worker_id"]
-                    error = by_worker[worker_id].get("error", "unknown error")
-                    attempt_log.record(
-                        worker_id,
-                        payload.get("attempt", 0),
-                        error,
-                        backoff_seconds=sleep,
-                    )
-                    self._record_worker_failure(error)
-                    retry_payload = dict(payload)
-                    retry_payload["attempt"] = payload.get("attempt", 0) + 1
-                    payload_by_worker[worker_id] = retry_payload
-                    retries.append(retry_payload)
-                    resilience.retries += 1
-                    if self._active_budget is not None:
-                        self._active_budget.charge("pool_retries")
-                    resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
-                by_worker.update(
-                    self._run_pooled_round(pool, export, retries, attached)
-                )
-            resilience.pool_respawns = pool.stats().get("respawns", 0) - respawns_before
-            worker_results = self._parse_results(
-                by_worker, expected=len(payloads), attempt_log=attempt_log
-            )
-
-            # Fold the workers' simulated S3 traffic into the ledger (the
-            # classic path meters it inside ObjectStore per request).
-            now = self.env.clock.now
-            self.env.ledger.record(
-                "s3", "get_requests",
-                sum(r.get_requests for r in worker_results), now,
-            )
-            self.env.ledger.record(
-                "s3", "bytes_read",
-                sum(r.bytes_read for r in worker_results), now,
-            )
-
-            table, reduce_value = self._merge(physical, worker_results)
-            statistics = self._build_statistics(
-                physical, worker_results, num_workers=len(payloads), cold=cold,
-                resilience=resilience, fault_snapshot=fault_snapshot,
-            )
-            statistics.overload = self._overload_block(self._active_budget)
-            # Detach the exposed partials from shared memory before the
-            # segments are unlinked: re-encode into the payload form the
-            # classic path ships (copies the column data out).
-            from repro.engine.payload import encode_table
-
-            for result in worker_results:
-                if result.partial:
-                    result.partial = encode_table(result.partial, force_binary=True)
-            return QueryResult(
-                table=table,
-                reduce_value=reduce_value,
-                statistics=statistics,
-                worker_results=worker_results,
-                optimizer_report=report,
-                plan_explain=physical.explain(),
-            )
+            yield run_round
         finally:
             # Release the zero-copy views BEFORE unmapping the segments.  On
             # the success path the exposed partials were already re-encoded;
             # on the failure path the raised exception's traceback would keep
-            # this frame (and hence the views) alive, making SharedMemory's
-            # finalizer raise BufferError from the garbage collector.
-            for message in by_worker.values():
-                result_payload = message.get("result")
-                if isinstance(result_payload, dict):
-                    partial = result_payload.get("partial")
-                    if isinstance(partial, dict):
-                        partial.clear()
+            # the views alive, making SharedMemory's finalizer raise
+            # BufferError from the garbage collector.
+            for message in messages:
+                partial = message.get("result", {}).get("partial")
+                if isinstance(partial, dict):
+                    partial.clear()
             for segment in attached:
                 try:
                     segment.close()
@@ -862,6 +805,23 @@ class LambadaDriver:
             if export is not None:
                 pool.forget_segments([export.name])
                 export.close()
+
+    def _detach_pooled(self, worker_results: List[WorkerResult]) -> None:
+        """Copy the pool's results out of shared memory and meter their S3 use.
+
+        The exposed partials are re-encoded into the payload form the SQS
+        plane ships, so they outlive the segments; the workers' simulated S3
+        traffic is folded into the ledger (the SQS plane meters it inside
+        ``ObjectStore`` per request).
+        """
+        from repro.engine.payload import encode_table
+
+        ledger = self.env.ledger
+        ledger.record("s3", "get_requests", sum(r.get_requests for r in worker_results))
+        ledger.record("s3", "bytes_read", sum(r.bytes_read for r in worker_results))
+        for result in worker_results:
+            if result.partial:
+                result.partial = encode_table(result.partial, force_binary=True)
 
     def _run_pooled_round(
         self,
@@ -980,7 +940,7 @@ class LambadaDriver:
         """Convert one pool child message into the classic result-message shape.
 
         Result segments are attached here and decoded as zero-copy views; the
-        attached handles collect in ``attached`` so ``_execute_pooled`` can
+        attached handles collect in ``attached`` so :meth:`_pool_plane` can
         unlink every segment when the query finishes.
         """
         if raw is None:
@@ -1006,22 +966,37 @@ class LambadaDriver:
 
     # -- helpers --------------------------------------------------------------------
 
-    def _invoke_tree(
-        self, tree: List[Dict], resilience: Optional[ResilienceStats] = None
-    ) -> None:
-        """Invoke the tree roots, serially or through the thread pool.
+    def _retry_hook(self, resilience: ResilienceStats):
+        """Retry hook of the scan planes: retries are invoked flat (no tree
+        children), and the failed attempt's request fee bought nothing."""
+        prices = self.env.ledger.prices
 
-        Invocations retry transient rejections (capacity brownouts throttle
-        the fleet with :class:`~repro.errors.TooManyRequestsError`) with
-        backoff through the driver's breaker board and the active query's
-        retry budget, instead of aborting the wave on the first rejection.
+        def on_retry(key, retry: Dict) -> None:
+            retry.pop("children", None)
+            resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
+
+        return on_retry
+
+    def _sqs_round(
+        self, query_id: str, resilience: ResilienceStats, integrity: IntegrityStats
+    ):
+        """The SQS plane's round function (see :func:`run_wave`).
+
+        The first round purges the result queue and invokes the two-level
+        tree's roots, serially or through the thread pool; retry rounds
+        invoke flat.  Both retry transient rejections (capacity brownouts
+        throttle the fleet with :class:`~repro.errors.TooManyRequestsError`)
+        with backoff through the driver's breaker board and the query's retry
+        budget.  A hedge is invoked once: a rejected one is dropped from the
+        batch and never enters the race.  Answers come back through the
+        result queue.
         """
 
-        def invoke(parent: Dict) -> None:
+        def invoke(payload: Dict) -> None:
             call_with_backoff(
                 self.env.lambda_service.invoke,
                 self.function_name,
-                parent,
+                payload,
                 from_driver=True,
                 policy=self.resilience_policy,
                 rng=self._jitter_rng,
@@ -1031,46 +1006,51 @@ class LambadaDriver:
                 now_fn=self._active_now,
             )
 
-        # On a single-core host the pool cannot overlap the workers' numpy
-        # sections and only adds dispatch overhead (~10% on TPC-H Q1 at 1M
-        # rows, see README "Performance notes"), so fall back to serial
-        # dispatch unless the caller forced a pool size explicitly.
+        def hedge(batch: Dict, key) -> None:
+            try:
+                self.env.lambda_service.invoke(
+                    self.function_name, batch[key], from_driver=True
+                )
+            except TRANSIENT_CLOUD_ERRORS as error:
+                now = self._active_now
+                self.breakers.record_failure(
+                    error, now() if now is not None else self.env.clock.now
+                )
+                resilience.note_fallback("hedge_rejected")
+                del batch[key]
+
+        # On a single-core host the thread pool cannot overlap the workers'
+        # numpy sections and only adds dispatch overhead (~10% on TPC-H Q1 at
+        # 1M rows, see README "Performance notes"), so the tree is invoked
+        # serially unless the caller forced a pool size explicitly.
         single_core = (os.cpu_count() or 1) <= 1 and self.max_parallel_invocations is None
-        if self.execution_mode != "threads" or len(tree) <= 1 or single_core:
-            for parent in tree:
-                invoke(parent)
-            return
-        max_workers = self.max_parallel_invocations or min(
-            32, 4 * (os.cpu_count() or 4), len(tree)
-        )
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(invoke, parent) for parent in tree]
-            for future in futures:
-                future.result()
 
-    #: Worker-reported error prefixes that mean the invocation plane itself
-    #: failed (vs. a data error inside a healthy worker).
-    _LAMBDA_FAILURE_PREFIXES = (
-        "InvocationDropped",
-        "FunctionTimeout",
-        "WorkerCrashError",
-        "no result message",
-    )
-
-    def _record_worker_failure(self, error: str) -> None:
-        """Charge an invocation-plane worker failure to the lambda breaker.
-
-        Worker failures arrive as strings in result messages (or as missing
-        messages), never as raised exceptions, so
-        :meth:`~repro.driver.breakers.BreakerBoard.classify` cannot see them;
-        a sustained invocation-side failure storm still needs to trip the
-        lambda breaker and drive degradation.
-        """
-        if error.startswith(self._LAMBDA_FAILURE_PREFIXES):
-            now = self._active_now
-            self.breakers.breakers["lambda"].record_failure(
-                now() if now is not None else self.env.clock.now
+        def run_round(batch: Dict, by_key: Dict, kind: str) -> None:
+            if kind == "hedge":
+                for key in list(batch):
+                    hedge(batch, key)
+            elif kind == "retry":
+                for payload in batch.values():
+                    invoke(payload)
+            else:
+                self.env.sqs.purge_queue(self.result_queue)
+                tree = build_invocation_tree(list(batch.values()))
+                if self.execution_mode != "threads" or len(tree) <= 1 or single_core:
+                    for parent in tree:
+                        invoke(parent)
+                else:
+                    max_workers = self.max_parallel_invocations or min(
+                        32, 4 * (os.cpu_count() or 4), len(tree)
+                    )
+                    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                        for future in [pool.submit(invoke, p) for p in tree]:
+                            future.result()
+            collect_messages(
+                self.env.sqs, self.result_queue, query_id, batch, by_key,
+                resilience, self.integrity.verify, integrity, self._active_cancel,
             )
+
+        return run_round
 
     def _overload_block(self, budget: Optional[RetryBudget]) -> Dict[str, Any]:
         """The per-query overload-control statistics block."""
@@ -1106,221 +1086,47 @@ class LambadaDriver:
                 continue
         return deleted
 
-    def _collect_messages(
-        self,
-        query_id: str,
-        expected: int,
-        want: Optional[set] = None,
-        raise_on_timeout: bool = True,
-        integrity: Optional[IntegrityStats] = None,
-    ) -> List[Dict]:
-        """Poll the result queue until ``expected`` distinct workers reported.
+    def _unspill(
+        self, by_key: Dict, resilience: ResilienceStats, integrity: IntegrityStats
+    ) -> None:
+        """Replace spill pointers in ``by_key`` with the spilled messages.
 
-        Progress is counted in *distinct* worker ids (restricted to ``want``
-        when given), so duplicated SQS deliveries can no longer satisfy
-        ``expected`` early.  The poll budget is the wave deadline; when it
-        runs out the driver either raises :class:`QueryTimeoutError` or — with
-        ``raise_on_timeout=False`` — returns what arrived so the caller can
-        retry the workers that never reported (dropped invocations, crashes).
-
-        Corrupt messages are dropped and counted into ``integrity`` (see
-        :func:`~repro.driver.messages.parse_message`).
-        """
-        verify = self.integrity.verify
-        messages: List[Dict] = []
-        seen: set = set()
-        cancel = self._active_cancel
-        max_polls = max(
-            DEFAULT_RESILIENCE.min_poll_rounds,
-            expected * DEFAULT_RESILIENCE.poll_rounds_per_worker,
-        )
-        for _ in range(max_polls):
-            if cancel is not None:
-                cancel.check("collect")
-            batch = self.env.sqs.receive_messages(self.result_queue, max_messages=10)
-            for message in batch:
-                payload = parse_message(message, verify, integrity)
-                if payload is None or payload.get("query_id") != query_id:
-                    continue  # corrupt, or stale from an earlier query
-                messages.append(payload)
-                worker_id = payload.get("worker_id")
-                if want is None or worker_id in want:
-                    seen.add(worker_id)
-            if len(seen) >= expected:
-                return messages
-        if raise_on_timeout:
-            raise QueryTimeoutError(
-                f"received {len(seen)} of {expected} worker results before giving up"
-            )
-        return messages
-
-    def _group_messages(
-        self,
-        messages: List[Dict],
-        by_worker: Optional[Dict[int, Dict]] = None,
-        resilience: Optional[ResilienceStats] = None,
-        integrity: Optional[IntegrityStats] = None,
-    ) -> Dict[int, Dict]:
-        """Group result messages by worker id with ``(worker, attempt)`` dedup.
-
-        Spilled payloads are fetched (and verified) through
+        Runs once the wave has settled, so superseded attempts' spills are
+        never fetched; each GET is verified through
         :func:`~repro.driver.messages.fetch_spilled` under the query's
         breaker board and retry budget.
         """
-        if by_worker is None:
-            by_worker = {}
-        for message in messages:
+        for key, message in by_key.items():
             if "result_s3" in message:
-                spilled = fetch_spilled(
+                by_key[key] = fetch_spilled(
                     self.env.s3, message["result_s3"], self.integrity.verify,
                     integrity, policy=self.resilience_policy,
                     rng=self._jitter_rng, stats=resilience,
                     breakers=self.breakers, budget=self._active_budget,
                     now_fn=self._active_now,
                 )
-                spilled.setdefault("attempt", message.get("attempt", 0))
-                message = spilled
-            merge_attempt(by_worker, message["worker_id"], message, resilience)
-        return by_worker
-
-    def _retry_failures(
-        self,
-        by_worker: Dict[int, Dict],
-        payloads: List[Dict],
-        query_id: str,
-        max_worker_retries: int,
-        resilience: Optional[ResilienceStats] = None,
-        attempt_log: Optional[AttemptLog] = None,
-        integrity: Optional[IntegrityStats] = None,
-    ) -> Dict[int, Dict]:
-        """Re-invoke failed *or missing* workers with jittered backoff.
-
-        Replaces the seed's flat fixed-count loop: each retry round first
-        backs off (exponential with decorrelated jitter, charged to modelled
-        latency — never slept on the wall clock), tags every retry payload
-        with its attempt number, and polls for exactly the retried workers.
-        Workers that never reported at all (dropped invocations, crashed
-        instances) are retried just like reported failures.
-        """
-        resilience = resilience if resilience is not None else ResilienceStats()
-        attempt_log = attempt_log if attempt_log is not None else AttemptLog()
-        payload_by_worker = {payload["worker_id"]: payload for payload in payloads}
-        prices = self.env.ledger.prices
-        sleep = 0.0
-        for _ in range(max_worker_retries):
-            need = [
-                worker_id
-                for worker_id in sorted(payload_by_worker)
-                if by_worker.get(worker_id, {}).get("status") != "ok"
-            ]
-            if not need:
-                break
-            if self._active_cancel is not None:
-                self._active_cancel.check("retry round")
-            sleep = decorrelated_jitter(
-                sleep,
-                self._jitter_rng,
-                self.resilience_policy.backoff_base_seconds,
-                self.resilience_policy.backoff_cap_seconds,
-            )
-            resilience.backoff_seconds += sleep
-            for worker_id in need:
-                message = by_worker.get(worker_id)
-                error = (
-                    message.get("error", "unknown error")
-                    if message is not None
-                    else "no result message (lost invocation or worker crash)"
-                )
-                previous = payload_by_worker[worker_id]
-                failed_attempt = previous.get("attempt", 0)
-                attempt_log.record(
-                    worker_id, failed_attempt, error, backoff_seconds=sleep
-                )
-                if integrity is not None and error.startswith("IntegrityError"):
-                    # The worker detected at-rest corruption that re-GETs
-                    # could not cure; this retry re-executes the attempt.
-                    integrity.re_executions += 1
-                self._record_worker_failure(error)
-                retry_payload = dict(previous)
-                retry_payload.pop("children", None)
-                retry_payload["attempt"] = failed_attempt + 1
-                payload_by_worker[worker_id] = retry_payload
-                resilience.retries += 1
-                if self._active_budget is not None:
-                    self._active_budget.charge("driver_retries")
-                # The failed attempt's request fee bought nothing.
-                resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
-                call_with_backoff(
-                    self.env.lambda_service.invoke,
-                    self.function_name,
-                    retry_payload,
-                    from_driver=True,
-                    policy=self.resilience_policy,
-                    rng=self._jitter_rng,
-                    stats=resilience,
-                    breakers=self.breakers,
-                    budget=self._active_budget,
-                    now_fn=self._active_now,
-                )
-            retry_messages = self._collect_messages(
-                query_id, expected=len(need), want=set(need),
-                raise_on_timeout=False, integrity=integrity,
-            )
-            self._group_messages(
-                retry_messages, by_worker=by_worker, resilience=resilience,
-                integrity=integrity,
-            )
-        return by_worker
-
-    def _parse_results(
-        self,
-        by_worker: Dict[int, Dict],
-        expected: int,
-        attempt_log: Optional[AttemptLog] = None,
-    ) -> List[WorkerResult]:
-        """Turn grouped messages into WorkerResults, surfacing remaining failures."""
-        failures = sorted(
-            (m for m in by_worker.values() if m.get("status") != "ok"),
-            key=lambda message: message["worker_id"],
-        )
-        if failures:
-            first = failures[0]
-            error = first.get("error", "unknown error")
-            attempts: List[Dict] = []
-            if attempt_log is not None:
-                attempts = list(attempt_log.for_worker(first["worker_id"]))
-            attempts.append({"attempt": first.get("attempt", 0), "error": error})
-            raise WorkerFailedError(first["worker_id"], error, attempts=attempts)
-        if len(by_worker) != expected:
-            raise QueryTimeoutError(
-                f"got results from {len(by_worker)} distinct workers, expected {expected}"
-            )
-        return [
-            WorkerResult.from_payload(by_worker[worker_id]["result"])
-            for worker_id in sorted(by_worker)
-        ]
 
     def _hedge_stragglers(
         self,
         worker_results: List[WorkerResult],
         by_worker: Dict[int, Dict],
-        payloads: List[Dict],
-        query_id: str,
+        events: Dict[int, Dict],
+        run_round,
         resilience: ResilienceStats,
-        integrity: Optional[IntegrityStats] = None,
+        integrity: IntegrityStats,
     ) -> Tuple[List[WorkerResult], float]:
         """Speculatively re-invoke straggler workers; first result wins.
 
         Post-wave quantile detection: workers whose modelled duration exceeds
         both ``hedge_factor`` x the fleet median and the absolute
-        ``hedge_min_seconds`` floor are re-invoked once, flat.  The hedge can
-        only start once the straggler is *detected*, so its effective
-        completion is ``threshold + hedge duration``; if that beats the
-        original, the hedge's result replaces it (the recompute is
-        deterministic — data identical, only duration/counters differ) and
-        the original run's duration cost is attributed as wasted.  A
-        homogeneous clean fleet never crosses the threshold, so fault-free
-        runs take none of this path.
+        ``hedge_min_seconds`` floor are re-invoked once, flat, through the
+        wave's own plane (``run_round``).  The hedge can only start once the
+        straggler is *detected*, so its effective completion is ``threshold
+        + hedge duration``; if that beats the original, the hedge's result
+        replaces it (the recompute is deterministic — data identical, only
+        duration/counters differ) and the original run's duration cost is
+        attributed as wasted.  A homogeneous clean fleet never crosses the
+        threshold, so fault-free runs take none of this path.
         """
         policy = self.resilience_policy
         ordered_ids = sorted(by_worker)
@@ -1333,58 +1139,39 @@ class LambadaDriver:
             return worker_results, 0.0
         fleet_median = sorted(durations.values())[len(durations) // 2]
         threshold = max(policy.hedge_min_seconds, policy.hedge_factor * fleet_median)
-        payload_by_worker = {payload["worker_id"]: payload for payload in payloads}
         prices = self.env.ledger.prices
         index_of = {worker_id: index for index, worker_id in enumerate(ordered_ids)}
         budget = self._active_budget
-        launched: List[int] = []
+        launched: Dict[int, Dict] = {}
         for worker_id in stragglers:
             if budget is not None and not budget.try_charge("hedges"):
                 # Hedging is optional work: when the retry budget runs dry it
                 # is suppressed (and attributed), never fatal.
                 resilience.note_fallback("hedge_suppressed")
                 continue
-            hedge_payload = dict(payload_by_worker[worker_id])
-            hedge_payload.pop("children", None)
-            hedge_payload["attempt"] = by_worker[worker_id].get("attempt", 0) + 1
-            try:
-                self.env.lambda_service.invoke(
-                    self.function_name, hedge_payload, from_driver=True
-                )
-            except TRANSIENT_CLOUD_ERRORS as error:
-                # A brownout-rejected hedge simply never enters the race;
-                # the original attempt's result stands.
-                now = self._active_now
-                self.breakers.record_failure(
-                    error, now() if now is not None else self.env.clock.now
-                )
-                resilience.note_fallback("hedge_rejected")
-                continue
-            resilience.hedges_launched += 1
-            launched.append(worker_id)
+            launched[worker_id] = dict(
+                events[worker_id], attempt=by_worker[worker_id].get("attempt", 0) + 1
+            )
+        hedged: Dict[int, Dict] = {}
+        if launched:
+            run_round(launched, hedged, "hedge")
+        resilience.hedges_launched += len(launched)
         if not launched:
             return worker_results, 0.0
-        stragglers = launched
-        hedge_messages = self._collect_messages(
-            query_id,
-            expected=len(stragglers),
-            want=set(stragglers),
-            raise_on_timeout=False,
-            integrity=integrity,
-        )
-        hedged: Dict[int, Dict] = {}
-        self._group_messages(
-            hedge_messages, by_worker=hedged, resilience=resilience,
-            integrity=integrity,
-        )
+        self._unspill(hedged, resilience, integrity)
         # Both racers run to completion and bill their full duration (a real
         # Lambda cannot be cancelled); the loser's extra seconds are billed on
         # top of the per-worker winner durations and attributed as waste.
         extra_billed_seconds = 0.0
-        for worker_id in stragglers:
+        for worker_id, hedge in launched.items():
             message = hedged.get(worker_id)
-            if message is None or message.get("status") != "ok":
-                # The hedge itself failed or vanished — it simply loses.
+            if (
+                message is None
+                or message.get("status") != "ok"
+                or message.get("attempt") != hedge["attempt"]
+            ):
+                # The hedge itself failed or vanished (a late copy of the
+                # original's answer is not the hedge's) — it simply loses.
                 resilience.hedges_lost += 1
                 resilience.wasted_cost_dollars += prices.lambda_invocation_cost(1)
                 continue

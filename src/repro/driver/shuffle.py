@@ -32,8 +32,13 @@ I/O plane (paper §4.4):
   never through exception-driven GET polling — so combined and legacy
   senders interoperate within one query.
 
-Every shuffle query ends with a sweep of its exchange prefix, so retried
-attempts leave no orphaned objects.  Request/byte counters of both waves are
+Every wave runs through the wave loop all fleets share
+(:func:`~repro.driver.messages.run_wave`): flat breaker-aware invocations,
+one poll of the result queue per round, and up to
+``ResiliencePolicy.max_attempts`` attempts per worker under jittered
+backoff, with the same failure rule as the scan driver.  Shuffle waves are
+not hedged.  Every shuffle query ends with a sweep of its exchange prefix,
+so retried attempts leave no orphaned objects.  Request/byte counters of both waves are
 accumulated into
 :class:`~repro.exchange.basic.ExchangeStats`, shipped inside each worker's
 :class:`~repro.engine.pipeline.WorkerResult`, and folded into the returned
@@ -62,35 +67,26 @@ import re
 import uuid
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cloud.environment import CloudEnvironment
 from repro.cloud.lambda_service import FunctionConfig, InvocationContext
 from repro.cloud.s3 import ObjectMetadata, parse_s3_path
-from repro.config import (
-    DEFAULT_RESILIENCE,
-    IntegrityConfig,
-    S3_REQUEST_LATENCY_SECONDS,
-)
+from repro.config import IntegrityConfig, S3_REQUEST_LATENCY_SECONDS
 from repro.driver.integrity import MESSAGE_DIGEST_KEY, IntegrityStats, sign_message
 from repro.driver.messages import (
     expand_paths,
     fault_delta,
     fault_snapshot,
     fetch_spilled,
-    merge_attempt,
-    parse_message,
 )
+from repro.driver.messages import run_wave as _run_wave
 from repro.driver.resilience import (
     DEFAULT_RESILIENCE_POLICY,
-    TRANSIENT_CLOUD_ERRORS,
-    AttemptLog,
     ResiliencePolicy,
     ResilienceStats,
-    call_with_backoff,
-    decorrelated_jitter,
 )
 from repro.driver.worker import RESULT_BUCKET, RESULT_SPILL_BYTES
 from repro.engine.aggregates import (
@@ -119,9 +115,7 @@ from repro.errors import (
     IntegrityError,
     NoSuchBucketError,
     QueryCancelledError,
-    QueryTimeoutError,
     WorkerCrashError,
-    WorkerFailedError,
 )
 from repro.exchange.basic import ExchangeStats, deserialize_partition, serialize_partition
 from repro.exchange.codec import decode_partition_slice, encode_partition_set
@@ -208,208 +202,6 @@ class ShuffleStatistics:
             + self.modelled_reduce_seconds
             + self.resilience.backoff_seconds
         )
-
-
-def _message_key(payload: Dict):
-    """Wave-local identity of a result message.
-
-    Join map waves run both sides concurrently with overlapping worker ids,
-    so their messages are keyed ``(side, worker_id)``; every other wave keys
-    by the bare worker id (the reduce waves report their partition there).
-    """
-    side = payload.get("side")
-    worker = payload.get("worker_id", -1)
-    return (side, worker) if side is not None else worker
-
-
-def _collect_wave_messages(
-    sqs,
-    queue: str,
-    query_id: str,
-    expected: int,
-    what: str,
-    want: Optional[Set] = None,
-    min_attempt: Optional[Dict] = None,
-    by_key: Optional[Dict] = None,
-    resilience: Optional[ResilienceStats] = None,
-    raise_on_timeout: bool = True,
-    verify: bool = True,
-    integrity: Optional[IntegrityStats] = None,
-) -> Dict:
-    """Poll ``queue`` until every wanted worker of ``query_id`` reported.
-
-    Returns ``{key: message}`` with (key, attempt) dedup applied — duplicate
-    and stale deliveries (injected or real) are counted into ``resilience``
-    and dropped.  A key is satisfied once it holds a message (ok *or* error)
-    of at least ``min_attempt[key]`` — older messages cannot end the poll,
-    so a wave retry is never confused with the attempt it superseded.  The
-    bounded poll budget models the wave deadline; on exhaustion the caller
-    either gets the partial dict back (``raise_on_timeout=False``, the retry
-    loops) or :class:`~repro.errors.QueryTimeoutError`.
-
-    Corrupt messages are dropped and counted into ``integrity`` (see
-    :func:`~repro.driver.messages.parse_message`); the wave machinery then
-    re-invokes the silently-missing worker.
-    """
-    by_key = {} if by_key is None else by_key
-    min_attempt = min_attempt or {}
-
-    def satisfied() -> int:
-        keys = want if want is not None else set(by_key)
-        count = 0
-        for key in keys:
-            message = by_key.get(key)
-            if message is None:
-                continue
-            if int(message.get("attempt", 0)) >= min_attempt.get(key, 0):
-                count += 1
-        return count
-
-    target = len(want) if want is not None else expected
-    max_polls = max(
-        DEFAULT_RESILIENCE.min_poll_rounds,
-        expected * DEFAULT_RESILIENCE.poll_rounds_per_worker,
-    )
-    for _ in range(max_polls):
-        for message in sqs.receive_messages(queue, max_messages=10):
-            payload = parse_message(message, verify, integrity)
-            if payload is None or payload.get("query_id") != query_id:
-                continue
-            key = _message_key(payload)
-            if want is not None and key not in want:
-                continue
-            merge_attempt(by_key, key, payload, resilience)
-        if satisfied() >= target:
-            return by_key
-    if raise_on_timeout:
-        raise QueryTimeoutError(
-            f"received {satisfied()} of {target} {what} results before giving up"
-        )
-    return by_key
-
-
-def _run_wave(
-    env: CloudEnvironment,
-    function_name: str,
-    events: Dict,
-    queue: str,
-    query_id: str,
-    what: str,
-    policy: ResiliencePolicy,
-    rng: random.Random,
-    resilience: ResilienceStats,
-    on_retry: Optional[Callable[[object, Dict], None]] = None,
-    verify: bool = True,
-    integrity: Optional[IntegrityStats] = None,
-    cancel=None,
-    breakers=None,
-    budget=None,
-    now_fn: Optional[Callable[[], float]] = None,
-) -> Dict:
-    """Invoke one wave of workers and collect one ok-result per event.
-
-    ``events`` maps wave keys (worker id, or ``(side, worker_id)`` for the
-    join map wave) to invocation payloads carrying ``"attempt": 0``.  Workers
-    that failed or never reported (dropped invocation, timeout, crash) are
-    re-invoked with the next attempt number after a jittered backoff charged
-    to the modelled ledger, up to ``policy.max_attempts``; ``on_retry(key,
-    event)`` lets the coordinator degrade a retry (combined → legacy).  On
-    an exhausted budget the first failing worker raises
-    :class:`~repro.errors.WorkerFailedError` with its full attempt history.
-
-    The overload plane (PR 9) threads through here: ``cancel`` is checked at
-    wave dispatch and every retry round, ``breakers``/``budget``/``now_fn``
-    make the Invoke requests themselves breaker-aware (a brownout fleet cap
-    rejecting invocations is retried with backoff instead of aborting the
-    wave) and cap total retry spend.
-    """
-
-    def invoke(payload: Dict) -> None:
-        call_with_backoff(
-            env.lambda_service.invoke,
-            function_name,
-            payload,
-            policy=policy,
-            rng=rng,
-            stats=resilience,
-            retry_on=TRANSIENT_CLOUD_ERRORS,
-            breakers=breakers,
-            budget=budget,
-            now_fn=now_fn,
-        )
-
-    if cancel is not None:
-        cancel.check(f"{what} dispatch")
-    for key in sorted(events):
-        invoke(events[key])
-    by_key: Dict = {}
-    attempt_log = AttemptLog()
-    rounds = max(1, policy.max_attempts)
-    sleep = 0.0
-    failed: List = []
-    for round_index in range(rounds):
-        if cancel is not None:
-            # Mid-wave pump point: the wave is dispatched (workers may have
-            # written exchange state) but not yet collected.
-            cancel.check(what)
-        _collect_wave_messages(
-            env.sqs,
-            queue,
-            query_id,
-            len(events),
-            what,
-            want=set(events),
-            min_attempt={k: int(e.get("attempt", 0)) for k, e in events.items()},
-            by_key=by_key,
-            resilience=resilience,
-            raise_on_timeout=False,
-            verify=verify,
-            integrity=integrity,
-        )
-        failed = sorted(
-            key for key in events if by_key.get(key, {}).get("status") != "ok"
-        )
-        if not failed:
-            return by_key
-        if round_index == rounds - 1:
-            break
-        sleep = decorrelated_jitter(
-            sleep, rng, policy.backoff_base_seconds, policy.backoff_cap_seconds
-        )
-        resilience.backoff_seconds += sleep
-        resilience.wave_retries += 1
-        for key in failed:
-            message = by_key.get(key)
-            previous = int(events[key].get("attempt", 0))
-            error = (message or {}).get("error") or (
-                "no result message (lost invocation or worker crash)"
-            )
-            worker_id = key[1] if isinstance(key, tuple) else key
-            attempt_log.record(worker_id, previous, error=error, backoff_seconds=sleep)
-            if integrity is not None and error.startswith("IntegrityError"):
-                # The worker detected at-rest corruption that re-GETs could
-                # not cure; this retry re-executes the producing attempt
-                # under a fresh attempt-suffixed prefix.
-                integrity.re_executions += 1
-            retry = dict(events[key])
-            retry["attempt"] = previous + 1
-            if on_retry is not None:
-                on_retry(key, retry)
-            events[key] = retry
-            if budget is not None:
-                budget.charge("wave_retries")
-            resilience.retries += 1
-            invoke(retry)
-    key = failed[0]
-    worker_id = key[1] if isinstance(key, tuple) else key
-    message = by_key.get(key) or {}
-    error = message.get("error") or (
-        "no result message (lost invocation or worker crash)"
-    )
-    history = attempt_log.for_worker(worker_id) + [
-        {"attempt": int(events[key].get("attempt", 0)), "error": error}
-    ]
-    raise WorkerFailedError(worker_id, f"{what}: {error}", attempts=history)
 
 
 def _slice_crcs(payload: bytes, offsets: Sequence[int]) -> List[int]:
@@ -1040,7 +832,8 @@ class _ResilientWaves:
 
     The overload-control context is armed per query: the driver passes its
     cancellation token, breaker board, retry budget, and modelled
-    now-function, and every wave threads them into :func:`_run_wave`.
+    now-function, and every wave threads them into the shared wave loop
+    (:func:`~repro.driver.messages.run_wave`).
     """
 
     RESULT_QUEUE: str
@@ -1147,6 +940,9 @@ class _ResilientWaves:
             self.resilience_policy,
             self._jitter_rng,
             resilience,
+            rounds=self.resilience_policy.max_attempts,
+            budget_key="wave_retries",
+            stage=what,
             on_retry=on_retry,
             verify=self.config.integrity.verify,
             integrity=integrity,

@@ -55,15 +55,30 @@ def test_retries_do_not_affect_healthy_queries(driver, dataset, lineitem_table):
 
 
 # ---------------------------------------------------------------------------
-# _collect_messages timeout paths
+# Shared poller timeout paths
 # ---------------------------------------------------------------------------
 
 def test_collect_messages_times_out_on_empty_queue(driver):
-    """No worker ever reports: the poll loop gives up with QueryTimeoutError."""
+    """No worker ever reports: the shared poller gives up and the wave loop
+    surfaces the missing workers as QueryTimeoutError."""
+    from repro.driver.messages import collect_messages, run_wave
+    from repro.driver.resilience import ResilienceStats
     from repro.errors import QueryTimeoutError
 
+    events = {worker_id: {"worker_id": worker_id, "attempt": 0} for worker_id in range(3)}
+
+    def silent_round(batch, by_key, kind):
+        collect_messages(
+            driver.env.sqs, driver.result_queue, "no-such-query", batch, by_key
+        )
+
     with pytest.raises(QueryTimeoutError, match="0 of 3"):
-        driver._collect_messages("no-such-query", expected=3)
+        run_wave(
+            driver.env, driver.function_name, events, driver.result_queue,
+            "no-such-query", "scan", driver.resilience_policy,
+            driver._jitter_rng, ResilienceStats(), rounds=1,
+            budget_key="driver_retries", stage="collect", run_round=silent_round,
+        )
 
 
 def test_dropped_worker_message_times_out(driver, dataset, monkeypatch):
@@ -106,12 +121,17 @@ def test_stale_messages_from_other_queries_are_ignored(driver, dataset, lineitem
 
 
 # ---------------------------------------------------------------------------
-# _retry_failures merging
+# Shared retry loop merging
 # ---------------------------------------------------------------------------
 
 def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
-    """_retry_failures re-invokes exactly the failed workers, flat (without
-    the tree children), and merges their fresh results over the failures."""
+    """The shared wave loop re-invokes exactly the failed workers, flat
+    (without the tree children) through the scan plane's round, and merges
+    their fresh results over the failures."""
+    from repro.driver.integrity import IntegrityStats
+    from repro.driver.messages import run_wave
+    from repro.driver.resilience import ResilienceStats
+
     query_id = "unit-retry-query"
     payloads = [
         {
@@ -137,13 +157,30 @@ def test_retry_failures_reinvokes_only_failed_workers(driver, monkeypatch):
             {
                 "query_id": query_id,
                 "worker_id": payload["worker_id"],
+                "attempt": payload["attempt"],
                 "status": "ok",
                 "result": {"partial": {}, "rows_scanned": 7},
             },
         )
 
     monkeypatch.setattr(driver.env.lambda_service, "invoke", fake_invoke)
-    merged = driver._retry_failures(by_worker, payloads, query_id, max_worker_retries=2)
+    resilience = ResilienceStats()
+    scan_round = driver._sqs_round(query_id, resilience, IntegrityStats())
+
+    def run_round(batch, by_key, kind):
+        if kind == "first":
+            by_key.update(by_worker)  # the first round's answers, as given
+        else:
+            scan_round(batch, by_key, kind)
+
+    merged = run_wave(
+        driver.env, driver.function_name,
+        {payload["worker_id"]: payload for payload in payloads},
+        driver.result_queue, query_id, "scan", driver.resilience_policy,
+        driver._jitter_rng, resilience, rounds=3, budget_key="driver_retries",
+        stage="collect", on_retry=driver._retry_hook(resilience),
+        run_round=run_round,
+    )
 
     assert sorted(payload["worker_id"] for payload in invoked) == [1, 2]
     assert all("children" not in payload for payload in invoked)
@@ -177,3 +214,54 @@ def test_retry_budget_exhausted_mid_recovery(driver, dataset):
         driver.execute(
             _flaky_plan(dataset, failures=2 * workers + 1), max_worker_retries=2
         )
+
+
+def test_superseded_attempt_does_not_end_a_retry_poll(driver, dataset, monkeypatch):
+    """A late re-delivery of a failed attempt's message must not end the poll
+    for its retry: worker 1's attempt 0 errors, and when its attempt-1 ok
+    message is delayed by one receive, the attempt-0 error arrives again in
+    its place.  One retry round still suffices."""
+    service, queue = driver.env.lambda_service, driver.env.sqs
+    original_invoke = service.invoke
+    original_receive = queue.receive_messages
+
+    def invoke(name, event, from_driver=True):
+        if event.get("worker_id") == 1 and event.get("attempt", 0) == 0:
+            # Attempt 0 of worker 1 reads a missing file and reports an error.
+            plan = dict(event["plan"], files=["s3://no-such-bucket/missing.lpq"])
+            event = dict(event, plan=plan)
+        return original_invoke(name, event, from_driver)
+
+    state = {"error": None, "held": None}
+
+    def receive_messages(name, max_messages=10):
+        batch = original_receive(name, max_messages)
+        if name != driver.result_queue:
+            return batch
+        delivered = []
+        if state["held"] is not None:
+            delivered.append(state.pop("held"))  # the delayed retry answer
+        for message in batch:
+            payload = message.json()
+            if payload.get("worker_id") == 1 and payload.get("attempt") == 0:
+                state["error"] = message
+            if (
+                payload.get("worker_id") == 1
+                and payload.get("attempt") == 1
+                and "held" in state
+            ):
+                # Hold the retry's answer back one receive; re-deliver the
+                # superseded attempt's error in its place.
+                state["held"] = message
+                delivered.append(state["error"])
+                continue
+            delivered.append(message)
+        return delivered
+
+    monkeypatch.setattr(service, "invoke", invoke)
+    monkeypatch.setattr(queue, "receive_messages", receive_messages)
+    result = driver.execute(q6_plan(dataset.paths), max_worker_retries=3)
+
+    assert "held" not in state, "the retry's answer was never held back"
+    assert result.statistics.resilience.retries == 1
+    assert result.statistics.resilience.wave_retries == 1

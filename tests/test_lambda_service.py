@@ -175,12 +175,33 @@ def test_invocation_rates_match_table1(service):
 
 
 def test_invocation_log_and_total_cost(service):
-    service.invoke("echo", {})
-    service.invoke("echo", {})
+    results = [service.invoke("echo", {}), service.invoke("echo", {})]
     assert service.total_invocations() == 2
     assert service.total_billed_cost() == pytest.approx(
-        sum(result.billed_cost for result in service.invocation_log)
+        sum(result.billed_cost for result in results)
     )
+
+
+def test_retained_memory_does_not_grow_with_invocations(service):
+    """Metering keeps running totals: neither the ledger's records nor the
+    invocations' results (payloads included) are retained per request."""
+    import tracemalloc
+
+    def run(count):
+        for index in range(count):
+            service.invoke("echo", {"x": f"{index:06d}" + "x" * 200})
+
+    tracemalloc.start()
+    try:
+        run(50)
+        before = tracemalloc.get_traced_memory()[0]
+        run(2000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # Keeping each invocation's record, result and payload costs well over
+    # 100 bytes apiece; running totals cost nothing per request.
+    assert grown < 20_000, f"{grown} bytes retained by 2000 invocations"
 
 
 def test_delete_function(service):

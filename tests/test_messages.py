@@ -1,8 +1,9 @@
 """Unit tests of the shared result-message protocol (``repro.driver.messages``).
 
 The scan driver keys result messages by worker id, the shuffle waves by
-worker id or ``(side, worker_id)``; both go through the same attempt dedup
-and the same verified spill fetch.
+worker id or ``(side, worker_id)``; both go through the same attempt dedup,
+the same verified spill fetch, and the same wave loop (``run_wave``), whose
+terminal errors are checked here on a join wave.
 """
 
 import json
@@ -111,3 +112,67 @@ def test_spill_fetch_raises_after_two_corrupt_reads():
     assert raised.value.layer == "spill.digest"
     assert integrity.re_reads == 0
     assert integrity.mismatches == {"spill.digest": 2}
+
+
+# -- the shared wave loop --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def join_stack():
+    from repro.analysis.experiments import setup_functional_environment
+    from repro.workload.tpch import generate_orders_dataset
+
+    env, dataset, _ = setup_functional_environment(scale_factor=0.002, num_files=4)
+    orders = generate_orders_dataset(
+        env.s3, scale_factor=0.002, num_files=3, row_group_rows=512, seed=7
+    )
+    return env, dataset, orders
+
+
+def _join_driver(env, monkeypatch, rewrite):
+    """A driver whose join-wave invocations pass through ``rewrite``; it
+    returns the event to run, or ``None`` to drop the invocation."""
+    from repro.driver.driver import LambadaDriver
+    from repro.driver.resilience import ResiliencePolicy
+    from repro.driver.shuffle import JOIN_REDUCE_FUNCTION_NAME
+
+    original = env.lambda_service.invoke
+
+    def invoke(name, event, from_driver=True):
+        if name == JOIN_REDUCE_FUNCTION_NAME and event.get("partition") == 0:
+            event = rewrite(event)
+            if event is None:
+                return None
+        return original(name, event, from_driver)
+
+    monkeypatch.setattr(env.lambda_service, "invoke", invoke)
+    return LambadaDriver(env, resilience_policy=ResiliencePolicy(max_attempts=3))
+
+
+def test_join_worker_never_reporting_times_out(join_stack, monkeypatch):
+    """Every attempt of one join-wave worker is dropped: the wave loop gives
+    up with QueryTimeoutError naming how many workers answered."""
+    from repro.errors import QueryTimeoutError
+    from repro.workload.queries import q3_plan
+
+    env, dataset, orders = join_stack
+    driver = _join_driver(env, monkeypatch, lambda event: None)
+    with pytest.raises(QueryTimeoutError, match="received 1 of 2 join results"):
+        driver.execute(q3_plan(dataset.paths, orders.paths), num_workers=2)
+
+
+def test_join_worker_always_failing_reports_full_history(join_stack, monkeypatch):
+    """A join-wave worker that errors on every attempt raises
+    WorkerFailedError carrying one history entry per attempt."""
+    from repro.errors import WorkerFailedError
+    from repro.workload.queries import q3_plan
+
+    env, dataset, orders = join_stack
+    driver = _join_driver(env, monkeypatch, lambda event: dict(event, sides=None))
+    with pytest.raises(WorkerFailedError) as excinfo:
+        driver.execute(q3_plan(dataset.paths, orders.paths), num_workers=2)
+    error = excinfo.value
+    assert error.worker_id == 0
+    assert [entry["attempt"] for entry in error.attempts] == [0, 1, 2]
+    assert all(entry["error"].startswith("TypeError") for entry in error.attempts)
+    assert error.message.startswith("join: TypeError")

@@ -21,6 +21,7 @@ import pytest
 from repro.analysis.experiments import run_tpch_query, setup_functional_environment
 from repro.cloud.s3 import SHM_SEGMENT_PREFIX
 from repro.driver.driver import LambadaDriver
+from repro.driver.resilience import ResiliencePolicy
 from repro.engine.payload import decode_table
 from repro.engine.pipeline import execute_worker_plan
 from repro.plan.optimizer import optimize
@@ -134,3 +135,32 @@ def test_fused_kernel_matches_classic_per_worker(stack, builder, num_workers):
         )
         assert fused.rows_scanned == classic.rows_scanned
         assert fused.rows_after_filter == classic.rows_after_filter
+
+
+def test_execution_mode_does_not_move_the_modelled_clock(stack):
+    """Straggler hedging runs on both scan planes alike: with a hedge
+    threshold Q6's skewed worker crosses, serial and processes mode report
+    the same modelled latency, cost and hedge race."""
+    env, dataset, serial_driver = stack
+    policy = ResiliencePolicy(hedge_factor=3.0, hedge_min_seconds=0.0)
+    plan = q6_plan(dataset.paths)
+    serial_driver.execute(plan)  # every worker instance warm for both runs
+    serial = LambadaDriver(env, resilience_policy=policy).execute(plan)
+    pooled_driver = LambadaDriver(
+        env, execution_mode="processes", max_parallel_invocations=2,
+        resilience_policy=policy,
+    )
+    try:
+        pooled = pooled_driver.execute(plan)
+    finally:
+        pooled_driver.close()
+
+    hedges = ("hedges_launched", "hedges_won", "hedges_lost")
+    assert serial.statistics.resilience.hedges_launched >= 1
+    assert pooled.statistics.latency_seconds == serial.statistics.latency_seconds
+    assert pooled.statistics.cost_total == serial.statistics.cost_total
+    assert [getattr(pooled.statistics.resilience, name) for name in hedges] == [
+        getattr(serial.statistics.resilience, name) for name in hedges
+    ]
+    assert pooled.scalar() == serial.scalar()
+    assert leaked_segments() == []

@@ -84,8 +84,7 @@ def test_handler_reports_errors_to_queue(env_with_data):
 
 def test_handler_charges_modelled_time(env_with_data):
     env = env_with_data
-    env.lambda_service.invoke(WORKER_FUNCTION_NAME, _event())
-    invocation = env.lambda_service.invocation_log[-1]
+    invocation = env.lambda_service.invoke(WORKER_FUNCTION_NAME, _event())
     assert invocation.duration_seconds > 0
 
 
